@@ -242,9 +242,18 @@ void Core::computeReducedCosts(const std::vector<double> &Costs) {
 }
 
 void Core::computePhase2Costs() {
+  // Price on costs divided by their largest magnitude, so CostTol is
+  // relative and the stopping vertex does not depend on the objective's
+  // units (the DVS costs are joules, ~1e-10..1e-4). Scaling the costs
+  // leaves the optimal vertex unchanged; finish() reports the objective
+  // from the unscaled problem.
+  double MaxCost = 0.0;
+  for (int C = 0; C < NumStruct; ++C)
+    MaxCost = std::max(MaxCost, std::fabs(P->cost(C)));
+  double Scale = MaxCost > 0.0 ? 1.0 / MaxCost : 1.0;
   std::vector<double> Costs(NumCols, 0.0);
   for (int C = 0; C < NumStruct; ++C)
-    Costs[C] = P->cost(C);
+    Costs[C] = P->cost(C) * Scale;
   computeReducedCosts(Costs);
 }
 

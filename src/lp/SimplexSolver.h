@@ -51,7 +51,9 @@ struct SimplexOptions {
   long MaxIterations = 500000;
   /// Entries smaller than this never serve as pivots.
   double PivotTol = 1e-9;
-  /// Reduced costs within this of zero count as optimal.
+  /// Reduced costs within this of zero count as optimal. Relative:
+  /// phase 2 prices on costs divided by the largest |cost|, so the
+  /// optimum does not depend on the objective's units.
   double CostTol = 1e-7;
   /// Row/bound violations within this count as feasible.
   double FeasTol = 1e-7;

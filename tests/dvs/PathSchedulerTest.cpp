@@ -43,7 +43,11 @@ TEST(PathScheduler, MeetsDeadlineAndMatchesPrediction) {
 TEST(PathScheduler, GeneralizesEdgeScheduling) {
   // Every edge-based schedule is expressible with path context, so the
   // path optimum's *prediction* can never be worse than the unfiltered
-  // edge optimum's.
+  // edge optimum's, up to the solver's gap: OPT_path <= OPT_edge (every
+  // edge schedule is a path schedule with the same objective), the
+  // MILP returns PR <= OPT_path + AbsGap, and ER is the objective of an
+  // integer-feasible edge point, so OPT_edge <= ER. Hence
+  // PR <= ER + AbsGap.
   for (const char *Name : {"mpeg_decode", "ghostscript"}) {
     Rig R(Name);
     DvsOptions O;
@@ -56,7 +60,7 @@ TEST(PathScheduler, GeneralizesEdgeScheduling) {
         *R.W.Fn, R.Prof, R.Modes, R.Reg, R.Deadline, O);
     ASSERT_TRUE(PR.hasValue()) << Name << ": " << PR.message();
     EXPECT_LE(PR->PredictedEnergyJoules,
-              ER->PredictedEnergyJoules * (1.0 + 1e-6))
+              ER->PredictedEnergyJoules + O.Milp.AbsGap)
         << Name;
     // More context, more variables.
     EXPECT_GE(PR->NumIndependentGroups, ER->NumIndependentGroups)

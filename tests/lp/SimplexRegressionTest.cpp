@@ -7,11 +7,16 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "../common/RandomMilp.h"
 #include "lp/SimplexSolver.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 using namespace cdvs;
+using testutil::ModeAssignmentCase;
+using testutil::makeModeAssignment;
 
 namespace {
 
@@ -71,6 +76,27 @@ TEST(SimplexRegression, WildCoefficientScales) {
   // a + b = 1 and 9e-3 a + 2e-3 b <= 5e-3 -> a <= 3/7.
   EXPECT_NEAR(S.X[A], 3.0 / 7.0, 1e-6);
   EXPECT_TRUE(P.isFeasible(S.X, 1e-9));
+}
+
+TEST(SimplexRegression, OptimumScalesWithCosts) {
+  // Scaling every cost by a positive factor scales the LP optimum by the
+  // same factor. The DVS costs are joules (~1e-10..1e-4), so pricing
+  // with an absolute reduced-cost tolerance stops early at such scales.
+  for (double Tightness : {0.2, 0.4, 0.6, 0.8}) {
+    for (uint64_t Seed = 42; Seed <= 49; ++Seed) {
+      ModeAssignmentCase C = makeModeAssignment(10, Tightness, Seed);
+      LpSolution Base = solveLp(C.P);
+      ASSERT_EQ(Base.Status, LpStatus::Optimal);
+      LpProblem Scaled = C.P;
+      for (int J = 0; J < Scaled.numVariables(); ++J)
+        Scaled.setCost(J, C.P.cost(J) * 1e-6);
+      LpSolution S = solveLp(Scaled);
+      ASSERT_EQ(S.Status, LpStatus::Optimal);
+      EXPECT_NEAR(S.Objective, Base.Objective * 1e-6,
+                  1e-9 * std::fabs(Base.Objective * 1e-6))
+          << "tightness " << Tightness << " seed " << Seed;
+    }
+  }
 }
 
 TEST(SimplexRegression, ManyRedundantRows) {
