@@ -72,7 +72,6 @@ int main(int argc, char **argv) {
     DvsOptions O;
     O.FilterThreshold = Thresholds[Idx % 2];
     O.InitialMode = static_cast<int>(Modes.size()) - 1;
-    O.Milp.NumThreads = 1;
     O.KeepArtifacts = true;
     DvsScheduler Sched(*W.Fn, Profiles[WI], Modes, Regulator, O);
     ErrorOr<ScheduleResult> R = Sched.schedule(Deadlines[WI]);

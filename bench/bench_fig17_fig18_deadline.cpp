@@ -77,7 +77,6 @@ int main(int argc, char **argv) {
 
     DvsOptions O;
     O.InitialMode = static_cast<int>(Modes.size()) - 1;
-    O.Milp.NumThreads = 1;
     O.KeepArtifacts = true;
     DvsScheduler Sched(*W.Fn, Prof, Modes, Regulator, O);
     ErrorOr<ScheduleResult> R = Sched.schedule(Deadline);

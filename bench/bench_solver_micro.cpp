@@ -2,7 +2,7 @@
 //
 // google-benchmark timings of the from-scratch substrates: the dense
 // bounded-variable simplex, the branch-and-bound MILP (warm-started and
-// cold, serial and threaded), the cycle-level simulator, and end-to-end
+// cold), the cycle-level simulator, and end-to-end
 // DVS scheduling. These are the pieces whose wall-clock cost the paper's
 // Figures 14/18 measure; the microbenches track their throughput across
 // instance sizes. Run with no arguments the binary also writes its
@@ -106,18 +106,6 @@ void BM_MilpColdStart(benchmark::State &State) {
 }
 BENCHMARK(BM_MilpColdStart)->Args({24, 15})->Args({24, 5})->Args({48, 10});
 
-/// Thread scaling on one hard instance; range(0) is NumThreads. On a
-/// single-core container this mostly measures the coordination overhead
-/// of the work-stealing pool.
-void BM_MilpThreads(benchmark::State &State) {
-  ModeAssignmentCase C = makeModeAssignment(48, 0.10, 7);
-  MilpOptions O;
-  O.NumThreads = static_cast<int>(State.range(0));
-  for (auto _ : State)
-    benchmark::DoNotOptimize(solveModeAssignment(C, O));
-}
-BENCHMARK(BM_MilpThreads)->Arg(1)->Arg(2)->Arg(4);
-
 void BM_SimulatorThroughput(benchmark::State &State) {
   Workload W = workloadByName("gsm");
   Simulator Sim(*W.Fn);
@@ -161,57 +149,6 @@ void BM_EndToEndSchedule(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_EndToEndSchedule)->Unit(benchmark::kMillisecond);
-
-/// Certified presolve on/off over the Section 6 MILP instances at the
-/// Figure 17/18 mid-range deadline (the ladder's Deadline 4, the widest
-/// real branch-and-bound tree). range(0) indexes milpBenchmarks(),
-/// range(1) toggles the presolve; counters record the instance size,
-/// the reduction, and the tree the solver actually explored, so the
-/// JSON record shows what the presolve buys per workload.
-void BM_SchedulePresolve(benchmark::State &State) {
-  std::vector<std::string> Names = milpBenchmarks();
-  size_t WI = static_cast<size_t>(State.range(0)) % Names.size();
-  bool Presolve = State.range(1) != 0;
-  Workload W = workloadByName(Names[WI]);
-  auto Sim = makeSimulator(W, W.defaultInput());
-  ModeTable Modes = ModeTable::xscale3();
-  TransitionModel Reg = TransitionModel::paperTypical();
-  Profile Prof = collectProfile(*Sim, Modes);
-  // Deadline 2 of the Figure 16 ladder: stringent enough to force a
-  // real branch-and-bound tree instead of a root-LP round-off.
-  double Deadline = fiveDeadlines(Prof)[1];
-  // Amortize the static analysis across solves, as the service does.
-  analysis::FunctionAnalysis FA = analysis::analyzeFunction(*W.Fn);
-  DvsOptions O;
-  O.InitialMode = static_cast<int>(Modes.size()) - 1;
-  O.Presolve = Presolve;
-  O.Analysis = &FA;
-
-  ScheduleResult Last;
-  for (auto _ : State) {
-    DvsScheduler Sched(*W.Fn, Prof, Modes, Reg, O);
-    ErrorOr<ScheduleResult> R = Sched.schedule(Deadline);
-    if (!R) {
-      State.SkipWithError(R.message().c_str());
-      return;
-    }
-    Last = *R;
-    benchmark::DoNotOptimize(Last.PredictedEnergyJoules);
-  }
-  State.SetLabel(Names[WI] + (Presolve ? "/presolve" : "/full"));
-  State.counters["vars"] = static_cast<double>(Last.NumVars);
-  State.counters["rows"] = static_cast<double>(Last.NumRows);
-  State.counters["solved_vars"] = static_cast<double>(Last.SolvedVars);
-  State.counters["solved_rows"] = static_cast<double>(Last.SolvedRows);
-  State.counters["vars_fixed"] =
-      static_cast<double>(Last.PresolveVarsFixed);
-  State.counters["rows_dropped"] =
-      static_cast<double>(Last.PresolveRowsDropped);
-  State.counters["bb_nodes"] = static_cast<double>(Last.Nodes);
-}
-BENCHMARK(BM_SchedulePresolve)
-    ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {0, 1}})
-    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -4,8 +4,8 @@
 # The repo's verification gate:
 #   1. default build + full ctest suite (the tier-1 command of ROADMAP.md);
 #   2. ThreadSanitizer build of the solver stack, running the LP and MILP
-#      test binaries (the concurrent pieces: work-stealing branch-and-
-#      bound, shared incumbent, warm-start engines);
+#      test binaries (the per-job solver state every concurrent service
+#      worker builds: the branch-and-bound and its warm-start engine);
 #   3. ThreadSanitizer pass over the scheduling service (TaskPool,
 #      sharded single-flight cache, admission queue) and the metrics/
 #      trace instruments (obs_test's concurrent-increment tests), plus
@@ -29,7 +29,8 @@
 #      the solver arithmetic and the service lifecycle);
 #   8. network round trip: dvs-server (--reactors=2) + dvs-loadgen over
 #      loopback under TSan, then scripts/bench_net.sh rows at 1/2/4
-#      reactors (BENCH_net.json) with a 5k req/s single-reactor floor
+#      reactors (into a temp file, so the run leaves the tracked
+#      BENCH_net.json alone) with a 5k req/s single-reactor floor
 #      and, on hosts with >= 4 cores, a >= 2x-of-single-reactor floor
 #      for the 4-reactor row; the reactors=1 row's schedules must be
 #      byte-identical to dvsd's for the same jobs; a malformed-frame +
@@ -59,14 +60,10 @@
 #      trace id spanning router -> backend -> peer (>= 3 processes,
 #      >= 4 spans); the router's --slow-log-ms JSON lines must carry
 #      verdicts and trace ids.
-#  11. certified presolve: dvs-lint --static sweeps every bundled
+#  11. static CFG analysis: dvs-lint --static sweeps every bundled
 #      workload's CFG (reachability, loop forest, irreducibility,
-#      frequency intervals) under TSan, then dvsd solves the full
-#      workload x tightness grid twice — --presolve=on vs
-#      --presolve=off — and every emitted schedule must be
-#      byte-identical across the two runs (diff -r), with the presolve
-#      runs re-audited under --verify=strict so the reduction
-#      certificates replay clean.
+#      frequency intervals) under TSan, then dvsd solves the gate-6
+#      workload x tightness grid under TSan with --verify=strict.
 #  12. task graphs: the taskgraph test binary (including the
 #      slack-reclamation determinism suite's 8-thread race) under TSan;
 #      dvsd --taskgraph over the full canned DAG corpus under
@@ -197,19 +194,20 @@ kill -TERM "$TSAN_SRV"
 wait "$TSAN_SRV"
 
 echo
-echo "== net: reactor-count scaling rows (BENCH_net.json) =="
+echo "== net: reactor-count scaling rows =="
 cmake --build build -j"$JOBS" --target dvs-server dvs-loadgen
 DISTINCT=16
+NET_ROWS="$NET_TMP/bench_net.json"
 BENCH_NET_DISTINCT="$DISTINCT" \
-  scripts/bench_net.sh BENCH_net.json "$NET_TMP/netsched"
+  scripts/bench_net.sh "$NET_ROWS" "$NET_TMP/netsched"
 # The cached steady state must sustain at least 5k served req/s end to
 # end on one reactor.
 DONE1="$(awk -F'"done_rps":' '{split($2,a,","); printf "%s", a[1]}' \
-  BENCH_net.json)"
+  "$NET_ROWS")"
 DONE4="$(awk -F'"done_rps":' '{split($4,a,","); printf "%s", a[1]}' \
-  BENCH_net.json)"
+  "$NET_ROWS")"
 CORES="$(awk -F'"host_cores":' '{split($2,a,","); printf "%s", a[1]}' \
-  BENCH_net.json)"
+  "$NET_ROWS")"
 awk -v d="$DONE1" 'BEGIN { if (d + 0 < 5000.0) {
   printf "single-reactor rate %.0f rps is below the 5000 rps floor\n", d;
   exit 1 } }'
@@ -554,24 +552,15 @@ grep -Eq '"trace_id":"[0-9a-f]{32}"' "$TR_TMP/slow.jsonl" \
   || { echo "the slow log records carry no trace ids"; exit 1; }
 
 echo
-echo "== presolve: static CFG sweep + on/off byte-identity (TSan) =="
+echo "== static CFG sweep + strict grid (TSan) =="
 cmake --build build-tsan -j"$JOBS" --target dvs-lint dvsd
 # Every bundled workload's CFG through the full static audit: dominator
 # trees, loop forest, irreducibility, dead blocks, frequency intervals.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tools/dvs-lint --static
-PS_TMP="$OBS_TMP/presolve"
-mkdir -p "$PS_TMP/on" "$PS_TMP/off"
-# The gate-6 grid again: every workload at three tightnesses. The
-# presolve may only remove structurally-irrelevant MILP columns, so the
-# schedules it emits must be byte-for-byte those of the full instance.
+# The gate-6 grid again, every schedule strictly audited, with the
+# service's workers racing under ThreadSanitizer.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tools/dvsd \
-  --threads="$JOBS" --quiet --presolve=on --verify=strict \
-  --schedules="$PS_TMP/on" "$OBS_TMP/verify_jobs.jsonl"
-TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tools/dvsd \
-  --threads="$JOBS" --quiet --presolve=off \
-  --schedules="$PS_TMP/off" "$OBS_TMP/verify_jobs.jsonl"
-diff -r "$PS_TMP/on" "$PS_TMP/off" \
-  || { echo "presolve changed an emitted schedule"; exit 1; }
+  --threads="$JOBS" --quiet --verify=strict "$OBS_TMP/verify_jobs.jsonl"
 
 echo
 echo "== task graphs: TSan suite + strict round trip + live replan metrics =="

@@ -17,8 +17,7 @@
 ///
 /// These intervals bound every flow-conserving profile the simulator
 /// can produce, so a profile count outside its interval is evidence of
-/// corruption -- and a Max of 0 is precisely the license the MILP
-/// presolve needs to fix the edge's mode variables.
+/// corruption.
 ///
 //===----------------------------------------------------------------------===//
 

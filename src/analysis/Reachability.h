@@ -10,9 +10,9 @@
 /// dead-edge classification derived from it. "Dead" here is a static,
 /// profile-independent fact: a dead edge cannot be crossed by any
 /// terminating execution of the function, so every flow-conserving
-/// profile must report a zero count for it. The verify::CfgChecker and
-/// milp presolve both consume this single classification so they can
-/// never disagree about which edges are dead.
+/// profile must report a zero count for it. verify::CfgChecker and
+/// verify::checkStatic (dvs-lint --static) both consume this single
+/// classification so they can never disagree about which edges are dead.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -232,114 +232,15 @@ DvsScheduler::schedule(const std::vector<double> &DeadlineSeconds) {
   ScheduleResult R;
   R.NumVars = P.numVariables();
   R.NumRows = P.numRows();
-
-  // Certified presolve: groups whose mode choice carries no objective,
-  // deadline, or transition weight appear only in their own SOS1 row,
-  // so any unit assignment is optimal; pin them to mode 0, matching the
-  // decode rule below (unprofiled groups always decode to the slowest
-  // mode). Structurally dead edges — which the §5.2 filter always
-  // leaves as independent single-edge groups — are the canonical case;
-  // the static analysis tells the two apart for reporting.
-  MilpSolution Sol;
-  PresolveResult PR;
-  if (Opts.Presolve) {
-    auto TP0 = std::chrono::steady_clock::now();
-    std::vector<char> InPair(NumGroups, 0);
-    for (const auto &[Key, PD] : Pairs) {
-      InPair[Key.first] = 1;
-      InPair[Key.second] = 1;
-    }
-    std::vector<int> FixedVars;
-    std::vector<double> FixedVals;
-    std::vector<char> GroupFixed(NumGroups, 0);
-    for (int G = 0; G < NumGroups; ++G) {
-      if (G == GroupOf[0] || InPair[G])
-        continue;
-      bool Weightless = true;
-      for (int M = 0; M < NumModes && Weightless; ++M)
-        if (EnergyCoeff[G][M] != 0.0)
-          Weightless = false;
-      for (int C = 0; C < NumCats && Weightless; ++C)
-        for (int M = 0; M < NumModes && Weightless; ++M)
-          if (TimeCoeff[C][G][M] != 0.0)
-            Weightless = false;
-      if (!Weightless)
-        continue;
-      GroupFixed[G] = 1;
-      for (int M = 0; M < NumModes; ++M) {
-        FixedVars.push_back(K[G][M]);
-        FixedVals.push_back(M == 0 ? 1.0 : 0.0);
-      }
-    }
-    // Split the fixed groups into analysis-certified dead vs merely
-    // unprofiled, for the presolve statistics.
-    {
-      std::unique_ptr<analysis::FunctionAnalysis> Own;
-      const analysis::FunctionAnalysis *FA = Opts.Analysis;
-      if (!FA) {
-        Own = std::make_unique<analysis::FunctionAnalysis>(
-            analysis::analyzeFunction(Fn));
-        FA = Own.get();
-      }
-      std::vector<char> GroupDead(NumGroups, 1);
-      for (int E = 1; E < NumEdges; ++E)
-        if (FA->Reach.live(Edges[E]))
-          GroupDead[GroupOf[E]] = 0;
-      GroupDead[GroupOf[0]] = 0; // virtual entry edge is always live
-      for (int G = 0; G < NumGroups; ++G)
-        if (GroupFixed[G] && GroupDead[G])
-          ++R.PresolveDeadGroups;
-    }
-
-    PR = presolve(P, Integers, FixedVars, FixedVals);
-    auto TP1 = std::chrono::steady_clock::now();
-    R.PresolveSeconds = std::chrono::duration<double>(TP1 - TP0).count();
-    if (PR.Infeasible)
-      return makeError("presolve found the instance infeasible: " +
-                       PR.InfeasibleReason);
-    R.PresolveVarsFixed = PR.Cert.varsFixed();
-    R.PresolveRowsDropped = PR.Cert.rowsDropped();
-    R.SolvedVars = PR.Cert.ReducedVars;
-    R.SolvedRows = PR.Cert.ReducedRows;
-
-    MilpSolver Solver(PR.Reduced, PR.IntegerVars, Opts.Milp);
-    for (auto &Group : K) {
-      std::vector<int> Mapped;
-      for (int Var : Group)
-        if (PR.Cert.VarMap[Var] >= 0)
-          Mapped.push_back(PR.Cert.VarMap[Var]);
-      if (Mapped.size() > 1)
-        Solver.addSos1Group(Mapped);
-    }
-    auto T0 = std::chrono::steady_clock::now();
-    MilpSolution ReducedSol = Solver.solve();
-    auto T1 = std::chrono::steady_clock::now();
-    R.SolveSeconds = std::chrono::duration<double>(T1 - T0).count();
-
-    Sol = ReducedSol;
-    if (ReducedSol.Status == MilpStatus::Optimal ||
-        ReducedSol.Status == MilpStatus::Feasible) {
-      Sol.X = PR.Cert.expandSolution(ReducedSol.X);
-      Sol.Objective = ReducedSol.Objective + PR.Cert.ObjectiveOffset;
-    }
-    if (Artifacts) {
-      Artifacts->Presolved = true;
-      Artifacts->ReducedProblem = PR.Reduced;
-      Artifacts->ReducedIntegerVars = PR.IntegerVars;
-      Artifacts->ReducedSolution = std::move(ReducedSol);
-      Artifacts->Reduction = PR.Cert;
-    }
-  } else {
-    R.SolvedVars = R.NumVars;
-    R.SolvedRows = R.NumRows;
-    MilpSolver Solver(P, Integers, Opts.Milp);
-    for (auto &Group : K)
-      Solver.addSos1Group(Group);
-    auto T0 = std::chrono::steady_clock::now();
-    Sol = Solver.solve();
-    auto T1 = std::chrono::steady_clock::now();
-    R.SolveSeconds = std::chrono::duration<double>(T1 - T0).count();
-  }
+  R.SolvedVars = R.NumVars;
+  R.SolvedRows = R.NumRows;
+  MilpSolver Solver(P, Integers, Opts.Milp);
+  for (auto &Group : K)
+    Solver.addSos1Group(Group);
+  auto T0 = std::chrono::steady_clock::now();
+  MilpSolution Sol = Solver.solve();
+  auto T1 = std::chrono::steady_clock::now();
+  R.SolveSeconds = std::chrono::duration<double>(T1 - T0).count();
 
   R.Status = Sol.Status;
   R.Nodes = Sol.Nodes;

@@ -41,9 +41,7 @@
 #ifndef CDVS_DVS_DVSSCHEDULER_H
 #define CDVS_DVS_DVSSCHEDULER_H
 
-#include "analysis/Analysis.h"
 #include "milp/MilpSolver.h"
-#include "milp/Presolve.h"
 #include "power/TransitionModel.h"
 #include "profile/Profile.h"
 #include "sim/ModeAssignment.h"
@@ -53,6 +51,10 @@
 #include <vector>
 
 namespace cdvs {
+
+namespace analysis {
+struct FunctionAnalysis;
+} // namespace analysis
 
 /// Knobs for the scheduler.
 struct DvsOptions {
@@ -70,21 +72,8 @@ struct DvsOptions {
   /// certificate check (verify/CertificateChecker.h) can re-evaluate
   /// every constraint row instead of trusting the solver's objective.
   bool KeepArtifacts = false;
-  /// Certified structural presolve: eliminate mode binaries of edge
-  /// groups that carry no objective, deadline, or transition weight
-  /// (structurally dead edges always qualify — the §5.2 filter keeps
-  /// them as independent groups) plus the bound-pinned entry group, and
-  /// drop the rows they fully determine, before handing the MILP to
-  /// branch-and-bound. The reduction is recorded in a
-  /// ReductionCertificate (Artifacts) that verify::
-  /// checkReductionCertificate replays against the original problem;
-  /// decoded schedules are byte-identical with presolve on or off.
-  bool Presolve = true;
-  /// Optional precomputed static CFG analysis for Fn (borrowed, not
-  /// owned; must outlive the scheduler). When null and a caller asks
-  /// for presolve stats, the scheduler computes its own. Used to split
-  /// the fixed groups into structurally-dead vs merely-unprofiled in
-  /// ScheduleResult.
+  /// Ignored: the scheduler reads no CFG analysis. Kept only because
+  /// e2ebench sets it; drop at its next change.
   const analysis::FunctionAnalysis *Analysis = nullptr;
   MilpOptions Milp;
 };
@@ -94,16 +83,7 @@ struct DvsOptions {
 struct SolverArtifacts {
   LpProblem Problem;            ///< bounds include the entry-mode pin
   std::vector<int> IntegerVars; ///< the mode binaries, group-major
-  /// Solution in ORIGINAL variable space: with presolve on this is the
-  /// reduced optimum expanded through the reduction certificate, so
-  /// existing checkCertificate call sites keep working unchanged.
   MilpSolution Solution;
-  /// Presolve audit trail (Presolved == false leaves the rest empty).
-  bool Presolved = false;
-  LpProblem ReducedProblem;
-  std::vector<int> ReducedIntegerVars;
-  MilpSolution ReducedSolution; ///< raw reduced-space optimum
-  ReductionCertificate Reduction;
 };
 
 /// Outcome of scheduling: the per-edge assignment plus solver metrics.
@@ -117,20 +97,16 @@ struct ScheduleResult {
   int NumEdges = 0;
   int NumIndependentGroups = 0;
   int NumBinaries = 0;
-  /// MILP size before presolve.
+  /// MILP size handed to branch-and-bound.
   int NumVars = 0;
   int NumRows = 0;
-  /// MILP size actually handed to branch-and-bound (== NumVars/NumRows
-  /// when presolve is off).
+  /// Always equal to NumVars / NumRows. Kept only because e2ebench reads
+  /// them; drop at its next change.
   int SolvedVars = 0;
   int SolvedRows = 0;
-  /// Presolve effect: eliminated columns / dropped rows, how many of
-  /// the fixed edge groups were analysis-certified structurally dead
-  /// (vs merely unprofiled by these inputs), and the time spent.
+  /// Always 0. Kept only because e2ebench reads it; drop at its next
+  /// change.
   int PresolveVarsFixed = 0;
-  int PresolveRowsDropped = 0;
-  int PresolveDeadGroups = 0;
-  double PresolveSeconds = 0.0;
   /// CPLEX LP-format dump of the solved MILP (only with DvsOptions::
   /// DumpLp).
   std::string LpText;

@@ -4,24 +4,17 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Parallel explicit-node-list branch-and-bound.
+// Sequential depth-first branch-and-bound.
 //
-// Each worker owns a mutex-guarded deque of nodes: it pushes/pops children
-// at the back (depth-first, so the engine's basis is almost always the
-// just-solved parent's) and victims are stolen from the front (the
-// shallowest, largest subtrees — the classic B&B stealing policy). A node
-// is just a bound-change delta chained to its parent, so the live tree
-// costs O(depth) per branch path and siblings share their prefix.
+// Open nodes live on one LIFO stack: children are pushed and the newest
+// is popped next, so the engine's basis is almost always the just-solved
+// parent's. A node is just a bound-change delta chained to its parent,
+// so the live tree costs O(depth) per branch path and siblings share
+// their prefix.
 //
-// Per worker there is one persistent SimplexEngine; moving from the
+// One persistent SimplexEngine serves every node; moving from the
 // previously solved node to the next applies the bound diff between the
-// two and re-solves warm (dual simplex repair from the held basis). The
-// incumbent is shared through an atomic mirror for lock-free pruning
-// reads, with a mutex protecting the authoritative value and its X.
-//
-// The search never prunes against anything but a proven incumbent, so the
-// final objective equals the serial solver's within AbsGap regardless of
-// thread count or exploration order.
+// two and re-solves warm (dual simplex repair from the held basis).
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,16 +24,11 @@
 #include "obs/Trace.h"
 #include "support/Clock.h"
 #include "support/Error.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <deque>
 #include <limits>
-#include <mutex>
-#include <thread>
 
 using namespace cdvs;
 
@@ -60,10 +48,8 @@ const char *cdvs::milpStatusName(MilpStatus Status) {
   cdvsUnreachable("bad MilpStatus");
 }
 
-/// Deeper nodes re-run the rounding heuristic after this many nodes have
-/// been processed by the *same worker* since its last rounding attempt.
-/// (A global node counter would almost never hit an exact multiple per
-/// worker once several workers interleave increments.)
+/// Deeper nodes re-run the rounding heuristic after this many nodes
+/// have been processed since the last rounding attempt.
 static constexpr long RoundingInterval = 512;
 
 /// One tree node: a single bound change relative to the parent. The root
@@ -78,10 +64,37 @@ struct MilpSolver::Node {
   int Depth = 0;
 };
 
-struct MilpSolver::Worker {
-  /// Lazily built so workers that never receive a node (tiny trees)
-  /// never pay for a problem copy or tableau.
-  std::unique_ptr<SimplexEngine> Engine;
+/// State of one search: the engine, the open-node stack, the incumbent
+/// and the effort counters.
+struct MilpSolver::Search {
+  explicit Search(const LpProblem &Problem, const SimplexOptions &LpOpts)
+      : Engine(Problem, LpOpts) {
+    int N = Problem.numVariables();
+    CurLo.resize(N);
+    CurHi.resize(N);
+    for (int V = 0; V < N; ++V) {
+      CurLo[V] = Problem.lowerBound(V);
+      CurHi[V] = Problem.upperBound(V);
+    }
+    NewLo = CurLo;
+    NewHi = CurHi;
+    Mark.assign(N, 0);
+  }
+
+  /// Records \p R as the incumbent when it improves on it by more than
+  /// \p AbsGap.
+  void offerIncumbent(const LpSolution &R, double AbsGap) {
+    if (!(R.Objective < Incumbent - AbsGap))
+      return;
+    Incumbent = R.Objective;
+    BestX = R.X;
+    ++IncumbentUpdates;
+    obs::traceInstant("incumbent", "milp", "objective", R.Objective);
+  }
+
+  SimplexEngine Engine;
+  /// Open nodes; the back is explored next.
+  std::vector<std::shared_ptr<const Node>> Stack;
   /// Bounds currently applied to Engine, indexed by variable.
   std::vector<double> CurLo, CurHi;
   /// Scratch for resolving a node's absolute bounds.
@@ -89,32 +102,17 @@ struct MilpSolver::Worker {
   std::vector<long> Mark; // epoch marks for delta-chain resolution
   long Epoch = 0;
   long SinceRounding = 0;
+  double Incumbent = std::numeric_limits<double>::infinity();
+  std::vector<double> BestX;
+  double RootBound = 0.0;
+  bool Truncated = false;
+  bool RootUnbounded = false;
+  std::chrono::steady_clock::time_point Deadline;
+  long Nodes = 0;
   long LpIterations = 0;
   long ColdLps = 0; // cold solves issued outside the engine (WarmStart off)
   long Pruned = 0;  // best-bound prunes (pre-LP and post-LP)
-  int Index = 0;    // this worker's slot in Shared::Queues
-};
-
-struct MilpSolver::Shared {
-  std::deque<Worker> Workers; // deque: Worker holds an engine, keep stable
-  /// The node deques, one per worker, with front-stealing (see
-  /// support/ThreadPool.h). Built once NumWorkers is known.
-  std::unique_ptr<WorkStealingDeques<std::shared_ptr<Node>>> Queues;
-  std::atomic<long> NodesSolved{0};
-  std::atomic<long> IncumbentUpdates{0};
-  /// Nodes pushed but not yet fully processed; 0 means the tree is
-  /// exhausted and idle workers may exit.
-  std::atomic<long> Outstanding{0};
-  std::atomic<bool> Truncated{false};
-  std::atomic<bool> RootUnbounded{false};
-  /// Lock-free mirror of IncumbentVal for pruning reads.
-  std::atomic<double> Incumbent{std::numeric_limits<double>::infinity()};
-  std::mutex IncM;
-  double IncumbentVal = std::numeric_limits<double>::infinity();
-  std::vector<double> BestX; // guarded by IncM
-  double RootBound = 0.0;    // written only by the root node's worker
-  std::chrono::steady_clock::time_point Deadline;
-  int NumWorkers = 1;
+  long IncumbentUpdates = 0;
 };
 
 MilpSolver::MilpSolver(LpProblem Problem, std::vector<int> IntegerVars,
@@ -176,26 +174,24 @@ int MilpSolver::pickBranchVariable(const std::vector<double> &X) const {
   return BestVar;
 }
 
-/// Solves a worker's LP at its currently applied bounds: warm through
+/// Solves the LP at the engine's currently applied bounds: warm through
 /// the engine, or cold when warm starting is disabled (ablation path).
-static LpSolution solveNodeLpImpl(SimplexEngine &Engine, bool WarmStart,
-                                  const SimplexOptions &LpOpts,
-                                  long &ColdLps) {
+static LpSolution solveNodeLp(SimplexEngine &Engine, bool WarmStart,
+                              const SimplexOptions &LpOpts, long &ColdLps) {
   if (WarmStart)
     return Engine.solve();
   ++ColdLps;
   return solveLp(Engine.problem(), LpOpts);
 }
 
-bool MilpSolver::tryRounding(Shared &S, Worker &W,
-                             const std::vector<double> &Relaxed) {
+void MilpSolver::tryRounding(Search &S, const std::vector<double> &Relaxed) {
   // Save bounds we are about to clobber.
   std::vector<std::pair<int, std::pair<double, double>>> Saved;
   auto fixVar = [&](int V, double Value) {
-    Saved.push_back({V, {W.CurLo[V], W.CurHi[V]}});
-    W.Engine->setBounds(V, Value, Value);
-    W.CurLo[V] = Value;
-    W.CurHi[V] = Value;
+    Saved.push_back({V, {S.CurLo[V], S.CurHi[V]}});
+    S.Engine.setBounds(V, Value, Value);
+    S.CurLo[V] = Value;
+    S.CurHi[V] = Value;
   };
 
   // Snap each SOS1 group to its largest LP value.
@@ -207,7 +203,7 @@ bool MilpSolver::tryRounding(Shared &S, Worker &W,
         Arg = V;
     for (int V : Group) {
       // Respect pre-existing fixings from the current branch.
-      if (W.CurLo[V] == W.CurHi[V]) {
+      if (S.CurLo[V] == S.CurHi[V]) {
         Handled[V] = true;
         continue;
       }
@@ -216,155 +212,114 @@ bool MilpSolver::tryRounding(Shared &S, Worker &W,
     }
   }
   for (int V : IntegerVars) {
-    if (Handled[V] || W.CurLo[V] == W.CurHi[V])
+    if (Handled[V] || S.CurLo[V] == S.CurHi[V])
       continue;
     double R = std::round(Relaxed[V]);
-    R = std::min(std::max(R, W.CurLo[V]), W.CurHi[V]);
+    R = std::min(std::max(R, S.CurLo[V]), S.CurHi[V]);
     fixVar(V, R);
   }
 
-  LpSolution R = solveNodeLpImpl(*W.Engine, Opts.WarmStart, Opts.LpOpts,
-                                 W.ColdLps);
-  W.LpIterations += R.Iterations;
-  bool Improved = false;
-  if (R.Status == LpStatus::Optimal) {
-    std::lock_guard<std::mutex> Lock(S.IncM);
-    if (R.Objective < S.IncumbentVal - Opts.AbsGap) {
-      S.IncumbentVal = R.Objective;
-      S.BestX = R.X;
-      S.Incumbent.store(R.Objective);
-      Improved = true;
-    }
-  }
-  if (Improved) {
-    S.IncumbentUpdates.fetch_add(1, std::memory_order_relaxed);
-    obs::traceInstant("incumbent", "milp", "objective", R.Objective);
-  }
+  LpSolution R = solveNodeLp(S.Engine, Opts.WarmStart, Opts.LpOpts,
+                             S.ColdLps);
+  S.LpIterations += R.Iterations;
+  if (R.Status == LpStatus::Optimal)
+    S.offerIncumbent(R, Opts.AbsGap);
 
   for (auto It = Saved.rbegin(); It != Saved.rend(); ++It) {
-    W.Engine->setBounds(It->first, It->second.first, It->second.second);
-    W.CurLo[It->first] = It->second.first;
-    W.CurHi[It->first] = It->second.second;
+    S.Engine.setBounds(It->first, It->second.first, It->second.second);
+    S.CurLo[It->first] = It->second.first;
+    S.CurHi[It->first] = It->second.second;
   }
-  return Improved;
 }
 
-void MilpSolver::processNode(Shared &S, Worker &W,
-                             const std::shared_ptr<Node> &N) {
+void MilpSolver::processNode(Search &S, const std::shared_ptr<const Node> &N) {
   // Best-bound prune on the parent relaxation before any LP work.
-  if (N->Bound >= S.Incumbent.load() - Opts.AbsGap) {
-    ++W.Pruned;
+  if (N->Bound >= S.Incumbent - Opts.AbsGap) {
+    ++S.Pruned;
     return;
   }
-  if (S.NodesSolved.load() >= Opts.MaxNodes ||
+  if (S.Nodes >= Opts.MaxNodes ||
       std::chrono::steady_clock::now() > S.Deadline) {
-    S.Truncated.store(true);
+    S.Truncated = true;
     return;
-  }
-
-  if (!W.Engine) {
-    W.Engine = std::make_unique<SimplexEngine>(Problem, Opts.LpOpts);
-    int N2 = Problem.numVariables();
-    W.CurLo.resize(N2);
-    W.CurHi.resize(N2);
-    for (int V = 0; V < N2; ++V) {
-      W.CurLo[V] = Problem.lowerBound(V);
-      W.CurHi[V] = Problem.upperBound(V);
-    }
-    W.NewLo = W.CurLo;
-    W.NewHi = W.CurHi;
-    W.Mark.assign(N2, 0);
   }
 
   // Resolve the node's absolute bounds: root bounds overlaid with the
   // delta chain, child-most change winning. Only the integer-variable
   // entries of NewLo/NewHi are ever read.
-  ++W.Epoch;
+  ++S.Epoch;
   for (int V : IntegerVars) {
-    W.NewLo[V] = Problem.lowerBound(V);
-    W.NewHi[V] = Problem.upperBound(V);
+    S.NewLo[V] = Problem.lowerBound(V);
+    S.NewHi[V] = Problem.upperBound(V);
   }
   for (const Node *A = N.get(); A && A->Var >= 0; A = A->Parent.get()) {
-    if (W.Mark[A->Var] != W.Epoch) {
-      W.Mark[A->Var] = W.Epoch;
-      W.NewLo[A->Var] = A->Lo;
-      W.NewHi[A->Var] = A->Hi;
+    if (S.Mark[A->Var] != S.Epoch) {
+      S.Mark[A->Var] = S.Epoch;
+      S.NewLo[A->Var] = A->Lo;
+      S.NewHi[A->Var] = A->Hi;
     }
   }
   // Only integer variables ever carry branch or rounding fixings, so the
   // diff against the engine's applied bounds is confined to them.
   for (int V : IntegerVars) {
-    if (W.NewLo[V] != W.CurLo[V] || W.NewHi[V] != W.CurHi[V]) {
-      W.Engine->setBounds(V, W.NewLo[V], W.NewHi[V]);
-      W.CurLo[V] = W.NewLo[V];
-      W.CurHi[V] = W.NewHi[V];
+    if (S.NewLo[V] != S.CurLo[V] || S.NewHi[V] != S.CurHi[V]) {
+      S.Engine.setBounds(V, S.NewLo[V], S.NewHi[V]);
+      S.CurLo[V] = S.NewLo[V];
+      S.CurHi[V] = S.NewHi[V];
     }
   }
 
-  LpSolution R = solveNodeLpImpl(*W.Engine, Opts.WarmStart, Opts.LpOpts,
-                                 W.ColdLps);
-  S.NodesSolved.fetch_add(1);
-  W.LpIterations += R.Iterations;
+  LpSolution R = solveNodeLp(S.Engine, Opts.WarmStart, Opts.LpOpts,
+                             S.ColdLps);
+  ++S.Nodes;
+  S.LpIterations += R.Iterations;
 
   if (R.Status == LpStatus::Infeasible)
     return;
   if (R.Status == LpStatus::Unbounded) {
     if (N->Depth == 0)
-      S.RootUnbounded.store(true);
+      S.RootUnbounded = true;
     // An unbounded node with integer restrictions still pending cannot be
     // pruned soundly in general; for our formulations (bounded binaries,
     // nonnegative costs) this never happens below the root.
     return;
   }
   if (R.Status == LpStatus::IterationLimit) {
-    S.Truncated.store(true);
+    S.Truncated = true;
     return;
   }
 
   if (N->Depth == 0) {
     S.RootBound = R.Objective;
     if (Opts.UseRounding)
-      tryRounding(S, W, R.X);
+      tryRounding(S, R.X);
   }
 
-  if (R.Objective >= S.Incumbent.load() - Opts.AbsGap) {
-    ++W.Pruned;
+  if (R.Objective >= S.Incumbent - Opts.AbsGap) {
+    ++S.Pruned;
     return; // Prune: cannot beat the incumbent.
   }
 
   int BranchVar = pickBranchVariable(R.X);
   if (BranchVar < 0) {
     // Integer feasible: candidate incumbent.
-    bool Improved = false;
-    {
-      std::lock_guard<std::mutex> Lock(S.IncM);
-      if (R.Objective < S.IncumbentVal - Opts.AbsGap) {
-        S.IncumbentVal = R.Objective;
-        S.BestX = R.X;
-        S.Incumbent.store(R.Objective);
-        Improved = true;
-      }
-    }
-    if (Improved) {
-      S.IncumbentUpdates.fetch_add(1, std::memory_order_relaxed);
-      obs::traceInstant("incumbent", "milp", "objective", R.Objective);
-    }
+    S.offerIncumbent(R, Opts.AbsGap);
     return;
   }
 
   // Periodic rounding deeper in the tree keeps the incumbent fresh.
   if (Opts.UseRounding && N->Depth > 0 &&
-      ++W.SinceRounding >= RoundingInterval) {
-    W.SinceRounding = 0;
-    tryRounding(S, W, R.X);
+      ++S.SinceRounding >= RoundingInterval) {
+    S.SinceRounding = 0;
+    tryRounding(S, R.X);
   }
 
   double Value = R.X[BranchVar];
-  double SavedLo = W.CurLo[BranchVar];
-  double SavedHi = W.CurHi[BranchVar];
+  double SavedLo = S.CurLo[BranchVar];
+  double SavedHi = S.CurHi[BranchVar];
   bool IsBinary = SavedLo >= -Opts.IntTol && SavedHi <= 1.0 + Opts.IntTol;
 
-  auto makeChild = [&](double Lo, double Hi) {
+  auto pushChild = [&](double Lo, double Hi) {
     auto C = std::make_shared<Node>();
     C->Parent = N;
     C->Var = BranchVar;
@@ -372,48 +327,20 @@ void MilpSolver::processNode(Shared &S, Worker &W,
     C->Hi = Hi;
     C->Bound = R.Objective;
     C->Depth = N->Depth + 1;
-    return C;
+    S.Stack.push_back(std::move(C));
   };
 
-  std::shared_ptr<Node> First, Second;
+  // The second child pushed is popped next.
   if (IsBinary) {
-    // The likelier side is explored first: it is pushed last so the
-    // depth-first pop-from-back takes it next, while the other side
-    // waits at the front where idle workers steal.
+    // The likelier side is explored first.
     double Likely = Value >= 0.5 ? 1.0 : 0.0;
-    First = makeChild(1.0 - Likely, 1.0 - Likely);
-    Second = makeChild(Likely, Likely);
+    pushChild(1.0 - Likely, 1.0 - Likely);
+    pushChild(Likely, Likely);
   } else {
-    // General integer: floor/ceiling split, floor side first (as the
-    // serial solver did).
+    // General integer: floor/ceiling split, floor side first.
     double Floor = std::floor(Value);
-    First = makeChild(Floor + 1.0, SavedHi);
-    Second = makeChild(SavedLo, Floor);
-  }
-
-  S.Outstanding.fetch_add(2);
-  S.Queues->push(W.Index, std::move(First));
-  S.Queues->push(W.Index, std::move(Second));
-}
-
-void MilpSolver::workerLoop(Shared &S, int WorkerIndex) {
-  Worker &W = S.Workers[WorkerIndex];
-  for (;;) {
-    if (S.Truncated.load())
-      return;
-
-    // Own newest node first (depth-first), else steal a victim's
-    // shallowest; the deques count the steal traffic for us.
-    std::shared_ptr<Node> N;
-    if (!S.Queues->tryPop(WorkerIndex, N)) {
-      if (S.Outstanding.load() == 0)
-        return;
-      std::this_thread::sleep_for(std::chrono::microseconds(20));
-      continue;
-    }
-
-    processNode(S, W, N);
-    S.Outstanding.fetch_sub(1);
+    pushChild(Floor + 1.0, SavedHi);
+    pushChild(SavedLo, Floor);
   }
 }
 
@@ -429,9 +356,6 @@ static void exportSolveMetrics(const MilpSolution &Sol) {
   static Counter &Pruned = metrics().counter(
       "cdvs_milp_nodes_pruned_total",
       "B&B nodes discarded by best-bound pruning");
-  static Counter &Stolen = metrics().counter(
-      "cdvs_milp_nodes_stolen_total",
-      "B&B nodes taken from another worker's deque");
   static Counter &LpIters = metrics().counter(
       "cdvs_milp_lp_iterations_total",
       "Simplex iterations across all node LPs");
@@ -443,8 +367,7 @@ static void exportSolveMetrics(const MilpSolution &Sol) {
       "Node LPs solved through the cold two-phase path");
   static Counter &Pivots = metrics().counter(
       "cdvs_milp_lp_pivots_total",
-      "Simplex pivots across the workers' engines, refactorization "
-      "included");
+      "Simplex pivots across the node LPs, refactorization included");
   static Counter &Incumbents = metrics().counter(
       "cdvs_milp_incumbent_updates_total",
       "Improving integer-feasible points found");
@@ -454,7 +377,6 @@ static void exportSolveMetrics(const MilpSolution &Sol) {
   Solves.inc();
   Nodes.inc(static_cast<double>(Sol.Nodes));
   Pruned.inc(static_cast<double>(Sol.Pruned));
-  Stolen.inc(static_cast<double>(Sol.Steals));
   LpIters.inc(static_cast<double>(Sol.LpIterations));
   Warm.inc(static_cast<double>(Sol.WarmLps));
   Cold.inc(static_cast<double>(Sol.ColdLps));
@@ -466,62 +388,38 @@ static void exportSolveMetrics(const MilpSolution &Sol) {
 MilpSolution MilpSolver::solve() {
   obs::TraceSpan Span("milp_solve", "milp");
   uint64_t T0 = monotonicNanos();
-  Shared S;
+  Search S(Problem, Opts.LpOpts);
   S.Deadline = std::chrono::steady_clock::now() +
                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                    std::chrono::duration<double>(Opts.TimeLimitSec));
 
-  // A tree over k integer variables cannot keep more than ~k workers
-  // busy; capping also spares thread spawns on the many tiny MILPs the
-  // schedulers produce.
-  int Threads = resolveThreads(Opts.NumThreads);
-  Threads = std::min(
-      Threads, 1 + static_cast<int>(IntegerVars.size()) / 4);
-  S.NumWorkers = std::max(1, Threads);
-  S.Queues = std::make_unique<WorkStealingDeques<std::shared_ptr<Node>>>(
-      S.NumWorkers);
-  for (int W = 0; W < S.NumWorkers; ++W) {
-    S.Workers.emplace_back();
-    S.Workers.back().Index = W;
+  S.Stack.push_back(std::make_shared<const Node>());
+  while (!S.Stack.empty() && !S.Truncated) {
+    std::shared_ptr<const Node> N = std::move(S.Stack.back());
+    S.Stack.pop_back();
+    processNode(S, N);
   }
-
-  auto Root = std::make_shared<Node>();
-  S.Queues->push(0, std::move(Root));
-  S.Outstanding.store(1);
-
-  runOnWorkers(S.NumWorkers, [&](int W) { workerLoop(S, W); });
 
   MilpSolution Sol;
-  Sol.Nodes = S.NodesSolved.load();
-  for (Worker &W : S.Workers) {
-    Sol.LpIterations += W.LpIterations;
-    Sol.ColdLps += W.ColdLps;
-    Sol.Pruned += W.Pruned;
-    if (W.Engine) {
-      Sol.WarmLps += W.Engine->warmSolves();
-      Sol.ColdLps += W.Engine->coldSolves();
-      Sol.LpPivots += W.Engine->totalPivots();
-    }
-  }
-  Sol.Steals = S.Queues->steals();
-  Sol.IncumbentUpdates = S.IncumbentUpdates.load();
+  Sol.Nodes = S.Nodes;
+  Sol.LpIterations = S.LpIterations;
+  Sol.ColdLps = S.ColdLps + S.Engine.coldSolves();
+  Sol.WarmLps = S.Engine.warmSolves();
+  Sol.LpPivots = S.Engine.totalPivots();
+  Sol.Pruned = S.Pruned;
+  Sol.IncumbentUpdates = S.IncumbentUpdates;
   Sol.SolveSeconds = nanosToSeconds(monotonicNanos() - T0);
   Sol.RootBound = S.RootBound;
-  if (S.RootUnbounded.load()) {
+  if (S.RootUnbounded) {
     Sol.Status = MilpStatus::Unbounded;
+  } else if (!S.BestX.empty()) {
+    Sol.Status = S.Truncated ? MilpStatus::Feasible : MilpStatus::Optimal;
+    Sol.Objective = S.Incumbent;
+    Sol.X = std::move(S.BestX);
   } else {
-    bool Truncated = S.Truncated.load();
-    bool HasIncumbent = !S.BestX.empty();
-    if (HasIncumbent) {
-      Sol.Status = Truncated ? MilpStatus::Feasible : MilpStatus::Optimal;
-      Sol.Objective = S.IncumbentVal;
-      Sol.X = S.BestX;
-    } else {
-      Sol.Status = Truncated ? MilpStatus::Limit : MilpStatus::Infeasible;
-    }
+    Sol.Status = S.Truncated ? MilpStatus::Limit : MilpStatus::Infeasible;
   }
   Span.arg("nodes", static_cast<double>(Sol.Nodes));
-  Span.arg("steals", static_cast<double>(Sol.Steals));
   exportSolveMetrics(Sol);
   return Sol;
 }

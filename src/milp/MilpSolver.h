@@ -18,18 +18,15 @@
 ///    and re-solves the continuous rest, giving an early incumbent that
 ///    makes best-bound pruning effective.
 ///
-/// Search architecture: an explicit node list on a work-stealing worker
-/// pool. Each node stores only its bound-change delta against its parent
-/// (an O(depth) chain shared between siblings); each worker owns a
-/// persistent SimplexEngine whose LP is morphed from node to node by
-/// applying the bound diff and re-solving warm from the previous basis —
-/// a handful of dual-simplex pivots instead of a cold two-phase solve.
-/// Workers share an atomic incumbent used for best-bound pruning.
-///
-/// The search is exact on natural termination: node exploration order
-/// varies with thread count, but every pruning decision compares against
-/// a proven incumbent, so the returned objective is the true optimum
-/// (within AbsGap) for any NumThreads.
+/// Search: a sequential depth-first branch-and-bound over one explicit
+/// LIFO stack of nodes. Each node stores only its bound-change delta
+/// against its parent (an O(depth) chain shared between siblings); one
+/// persistent SimplexEngine is morphed from node to node by applying the
+/// bound diff and re-solving warm from the previous basis — a handful of
+/// dual-simplex pivots instead of a cold two-phase solve. Every pruning
+/// decision compares against a proven incumbent, so on natural
+/// termination the returned objective is the optimum within AbsGap, and
+/// the search (node order, counters, returned point) is deterministic.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,7 +55,7 @@ const char *milpStatusName(MilpStatus Status);
 
 /// Solution of a MILP solve. The counter block doubles as the solver's
 /// Stats surface: tests and the metrics exporter read search effort
-/// (nodes, prunes, steals, LP work) from here.
+/// (nodes, prunes, LP work) from here.
 struct MilpSolution {
   MilpStatus Status = MilpStatus::Limit;
   double Objective = 0.0;
@@ -70,7 +67,6 @@ struct MilpSolution {
   long ColdLps = 0; ///< Node LPs that ran the cold two-phase path.
   long LpPivots = 0; ///< Engine pivots, refactorization included.
   long Pruned = 0; ///< Nodes discarded by best-bound pruning.
-  long Steals = 0; ///< Nodes a worker took from another's deque.
   long IncumbentUpdates = 0; ///< Times a better integer point was found.
   double SolveSeconds = 0.0; ///< Wall time of the whole search.
 };
@@ -82,9 +78,8 @@ struct MilpOptions {
   long MaxNodes = 2000000;  ///< Node budget.
   double TimeLimitSec = 600.0;
   bool UseRounding = true;  ///< Enable the group-rounding heuristic.
-  /// Worker threads for the tree search; 0 means one per hardware core.
-  /// The effective count is additionally capped by the number of integer
-  /// variables (tiny trees cannot feed many workers).
+  /// Ignored: the search is always sequential. Kept only because
+  /// e2ebench sets it; drop at its next change.
   int NumThreads = 0;
   /// Warm-start node LPs from the previous basis (dual simplex repair).
   /// Disable to force the cold two-phase path at every node (ablation).
@@ -108,12 +103,10 @@ public:
   MilpSolution solve();
 
 private:
-  struct Shared;
-  struct Worker;
   struct Node;
-  void workerLoop(Shared &S, int WorkerIndex);
-  void processNode(Shared &S, Worker &W, const std::shared_ptr<Node> &N);
-  bool tryRounding(Shared &S, Worker &W, const std::vector<double> &Relaxed);
+  struct Search;
+  void processNode(Search &S, const std::shared_ptr<const Node> &N);
+  void tryRounding(Search &S, const std::vector<double> &Relaxed);
   int pickBranchVariable(const std::vector<double> &X) const;
 
   LpProblem Problem;

@@ -142,7 +142,10 @@ struct JobResult {
   double MakespanSeconds = 0.0; ///< actual makespan of the executed plan
 
   double QueueSeconds = 0.0;   ///< admission to worker pickup
-  double ProfileSeconds = 0.0; ///< profiling stage (0 on profile-cache hit)
+  /// Profiling stage: collection time, or time spent waiting for a
+  /// concurrent job's collection of the same profile (0 when the
+  /// profile was already cached).
+  double ProfileSeconds = 0.0;
   double BoundSeconds = 0.0;   ///< deadline resolution + energy lower bound
   double SolveSeconds = 0.0;   ///< MILP stage of the original solve
   double SerializeSeconds = 0.0; ///< schedule text emission (original solve)

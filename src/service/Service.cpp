@@ -131,11 +131,8 @@ double energyLowerBound(const std::vector<CategoryProfile> &Categories) {
 struct ServiceMetrics {
   obs::Counter &Submitted, &Rejected, &Completed, &Infeasible, &Failed;
   obs::Counter &VerifyFailures;
-  obs::Counter &PresolveVarsFixed, &PresolveRowsDropped, &PresolveDeadGroups;
   obs::Gauge &QueueDepth, &QueueDepthPeak;
-  obs::Histogram &Queue, &Profile, &Bound, &Analyze, &Solve, &Serialize,
-      &Total;
-  obs::Histogram &PresolveSeconds;
+  obs::Histogram &Queue, &Profile, &Bound, &Solve, &Serialize, &Total;
 };
 
 ServiceMetrics &serviceMetrics() {
@@ -159,15 +156,6 @@ ServiceMetrics &serviceMetrics() {
       obs::metrics().counter(
           "cdvs_verify_failures_total",
           "Jobs whose post-solve verification drew errors"),
-      obs::metrics().counter(
-          "cdvs_presolve_vars_fixed_total",
-          "MILP variables eliminated by the certified presolve"),
-      obs::metrics().counter(
-          "cdvs_presolve_rows_dropped_total",
-          "MILP rows dropped by the certified presolve"),
-      obs::metrics().counter(
-          "cdvs_presolve_dead_groups_total",
-          "Presolve-fixed edge groups that were statically dead"),
       obs::metrics().gauge("cdvs_admission_queue_depth",
                            "Jobs currently pending admission"),
       obs::metrics().gauge("cdvs_admission_queue_depth_peak",
@@ -175,14 +163,9 @@ ServiceMetrics &serviceMetrics() {
       stageHist("queue"),
       stageHist("profile"),
       stageHist("bound"),
-      stageHist("analyze"),
       stageHist("solve"),
       stageHist("serialize"),
       stageHist("total"),
-      obs::metrics().histogram(
-          "cdvs_presolve_seconds",
-          "Time spent in the certified MILP presolve per fresh solve",
-          obs::latencyBucketsSeconds()),
   };
   return M;
 }
@@ -457,31 +440,42 @@ SchedulerService::profileOne(const std::string &WorkloadName,
   }
 
   std::string Key = WorkloadName + "\x1f" + Wanted + "\x1f" + ModesKey;
-  std::shared_ptr<const Profile> Cached;
+  // Single flight: the first miss on a key publishes a future and
+  // collects; concurrent lookups of the key wait on that future.
+  std::promise<std::shared_ptr<const Profile>> Collection;
+  std::shared_future<std::shared_ptr<const Profile>> Pending;
+  bool Leader = false;
   {
     std::lock_guard<std::mutex> Lock(ProfileMu);
     auto It = ProfileCache.find(Key);
-    if (It != ProfileCache.end())
-      Cached = It->second;
+    if (It == ProfileCache.end()) {
+      It = ProfileCache.emplace(Key, Collection.get_future().share()).first;
+      Leader = true;
+    }
+    Pending = It->second;
   }
-  if (!Cached) {
-    // Collect outside the lock: profiling runs the simulator once per
-    // mode. A racing duplicate collection is idempotent.
+  // A hit on a finished collection costs no profiling time; the leader
+  // and any waiter are charged the time until the profile is ready.
+  if (Leader || Pending.wait_for(std::chrono::seconds(0)) !=
+                    std::future_status::ready) {
     auto T0 = Clock::now();
-    Simulator Sim(*W.Fn);
-    Input->Setup(Sim);
-    auto Collected =
-        std::make_shared<const Profile>(collectProfile(Sim, Modes));
+    if (Leader) {
+      // Collect outside the lock: profiling runs the simulator once per
+      // mode.
+      Simulator Sim(*W.Fn);
+      Input->Setup(Sim);
+      Collection.set_value(
+          std::make_shared<const Profile>(collectProfile(Sim, Modes)));
+    }
+    Pending.wait();
     *ProfileSeconds += secondsSince(T0);
-    std::lock_guard<std::mutex> Lock(ProfileMu);
-    // If a racing worker inserted first, its (identical) profile wins.
-    Cached = ProfileCache.emplace(Key, Collected).first->second;
-    std::lock_guard<std::mutex> SLock(StatsMu);
-    ++Counters.ProfileCacheMisses;
-  } else {
-    std::lock_guard<std::mutex> SLock(StatsMu);
-    ++Counters.ProfileCacheHits;
   }
+  std::shared_ptr<const Profile> Cached = Pending.get();
+  std::lock_guard<std::mutex> SLock(StatsMu);
+  if (Leader)
+    ++Counters.ProfileCacheMisses;
+  else
+    ++Counters.ProfileCacheHits;
   return Cached;
 }
 
@@ -606,32 +600,6 @@ JobResult SchedulerService::execute(const JobRequest &Request,
 
   const Workload &W = workloadRegistry().at(Request.Workload);
 
-  // Analyze stage: static CFG analysis feeding the certified presolve,
-  // computed once per workload and shared across workers (the facts are
-  // profile-independent).
-  std::shared_ptr<const analysis::FunctionAnalysis> FA;
-  if (Opts.Presolve) {
-    obs::TraceSpan AnalyzeSpan("analyze", "service");
-    uint64_t AnalyzeT0 = monotonicNanos();
-    {
-      std::lock_guard<std::mutex> Lock(AnalysisMu);
-      auto It = AnalysisCache.find(Request.Workload);
-      if (It != AnalysisCache.end())
-        FA = It->second;
-    }
-    bool Hit = FA != nullptr;
-    if (!FA) {
-      // Compute outside the lock; a racing duplicate is idempotent.
-      auto Computed = std::make_shared<const analysis::FunctionAnalysis>(
-          analysis::analyzeFunction(*W.Fn));
-      std::lock_guard<std::mutex> Lock(AnalysisMu);
-      FA = AnalysisCache.emplace(Request.Workload, Computed).first->second;
-    }
-    serviceMetrics().Analyze.observe(
-        nanosToSeconds(monotonicNanos() - AnalyzeT0));
-    AnalyzeSpan.arg("cache_hit", Hit ? 1.0 : 0.0);
-  }
-
   double LowerBound = R.LowerBoundJoules;
   std::string TransientError;
   obs::TraceSpan SolveSpan("solve", "service");
@@ -655,22 +623,12 @@ JobResult SchedulerService::execute(const JobRequest &Request,
         DvsOptions O;
         O.FilterThreshold = Request.FilterThreshold;
         O.InitialMode = InitialMode;
-        O.Milp.NumThreads = Opts.MilpThreadsPerJob;
         // The certificate pass needs the exact MILP instance and raw
         // solution the scheduler otherwise discards.
         O.KeepArtifacts = Opts.Verify != VerifyMode::Off;
-        O.Presolve = Opts.Presolve;
-        O.Analysis = FA.get();
         DvsScheduler Scheduler(*W.Fn, Categories, Modes, Transitions, O);
         auto TSolve = Clock::now();
         ErrorOr<ScheduleResult> SR = Scheduler.schedule(Deadlines);
-        if (SR && Opts.Presolve) {
-          ServiceMetrics &M = serviceMetrics();
-          M.PresolveVarsFixed.inc(SR->PresolveVarsFixed);
-          M.PresolveRowsDropped.inc(SR->PresolveRowsDropped);
-          M.PresolveDeadGroups.inc(SR->PresolveDeadGroups);
-          M.PresolveSeconds.observe(SR->PresolveSeconds);
-        }
         auto C = std::make_shared<CachedSchedule>();
         C->SolveSeconds = secondsSince(TSolve);
         C->LowerBoundJoules = LowerBound;
@@ -891,7 +849,6 @@ JobResult SchedulerService::executeGraph(const JobRequest &Request,
         }
         taskgraph::OnlineOptions OO;
         OO.Replan = Request.GraphReplan;
-        OO.Planner.Milp.NumThreads = Opts.MilpThreadsPerJob;
         auto TSolve = Clock::now();
         taskgraph::OnlineResult OR =
             taskgraph::runOnline(G, Costs, Deadline, OO);

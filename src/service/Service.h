@@ -11,8 +11,9 @@
 /// pipeline on a persistent support/TaskPool:
 ///
 ///   1. profile   — resolve the workload, collect per-mode profiles
-///                  (memoized: identical (workload, input, mode table)
-///                  tuples profile once per service);
+///                  (memoized and single-flight: identical (workload,
+///                  input, mode table) tuples profile once per service,
+///                  concurrent misses waiting for the one collection);
 ///   2. bound     — resolve the deadline, reject infeasible deadlines
 ///                  early, compute the deadline-free energy lower bound
 ///                  (every block at its cheapest mode);
@@ -38,7 +39,6 @@
 #ifndef CDVS_SERVICE_SERVICE_H
 #define CDVS_SERVICE_SERVICE_H
 
-#include "analysis/Analysis.h"
 #include "power/ModeTable.h"
 #include "profile/Profile.h"
 #include "service/Job.h"
@@ -85,20 +85,11 @@ struct ServiceOptions {
   /// Result-cache entries across all shards.
   size_t CacheCapacity = 512;
   size_t CacheShards = 8;
-  /// MILP threads per job; 1 keeps node exploration deterministic so
-  /// cache hits are byte-identical to fresh solves, and lets job-level
-  /// parallelism own the cores.
-  int MilpThreadsPerJob = 1;
   /// Start with workers paused (tests build deterministic queues).
   bool StartPaused = false;
   /// Post-solve verification: run the src/verify passes over every
   /// fresh schedule (Warn records, Strict fails the job on errors).
   VerifyMode Verify = VerifyMode::Off;
-  /// Run the analyze stage (static CFG analysis, memoized per workload)
-  /// and hand the scheduler its certified presolve. Schedules are
-  /// byte-identical either way; off skips the analysis and solves the
-  /// full MILP.
-  bool Presolve = true;
   /// When set, cache misses first try this peer fetch before solving
   /// cold (cluster mode; empty in single-node deployments).
   PeerFillFn PeerFill;
@@ -219,17 +210,13 @@ private:
   bool Stopping = false;
   long AdmitSeq = 0;
 
-  /// (workload|input|modes digest) -> collected profile. Grows with the
-  /// distinct profiled inputs — a handful per workload — so unbounded is
-  /// the right bound.
-  std::map<std::string, std::shared_ptr<const Profile>> ProfileCache;
+  /// (workload|input|modes digest) -> the profile, ready once its one
+  /// collection finishes (concurrent misses share the future). Grows
+  /// with the distinct profiled inputs — a handful per workload — so
+  /// unbounded is the right bound.
+  std::map<std::string, std::shared_future<std::shared_ptr<const Profile>>>
+      ProfileCache;
   std::mutex ProfileMu;
-
-  /// workload -> static CFG analysis, computed once per service (the
-  /// analyze stage); immutable and shared across workers.
-  std::map<std::string, std::shared_ptr<const analysis::FunctionAnalysis>>
-      AnalysisCache;
-  std::mutex AnalysisMu;
 
   std::atomic<long> DequeueSeq{0};
   mutable std::mutex StatsMu;

@@ -27,9 +27,8 @@
 ///    under the updated releases, in which case any feasible re-plan is
 ///    taken. With every ActualFactor <= 1 this guarantees the final
 ///    committed (profiled) energy never exceeds the static plan's.
-///  - All MILP (re-)solves run with the options the caller fixes
-///    (NumThreads = 1 in the service), so the chosen argmin — not just
-///    the optimal objective — is thread-count independent.
+///  - The MILP search is sequential and deterministic, so the chosen
+///    argmin — not just the optimal objective — is reproducible.
 ///
 /// Every re-solve emits a `replan` trace span and bumps the
 /// cdvs_taskgraph_replans{,_accepted}_total counters; the decision trail

@@ -88,8 +88,7 @@ struct PlannerOptions {
 /// completed/running predecessors) and the shared \p DeadlineSeconds.
 /// Empty Plannable means "plan everything"; empty ReleaseSeconds means
 /// all-zero. The graph must validate; Costs must cover every node with
-/// at least one mode. Deterministic for fixed inputs and
-/// Opts.Milp.NumThreads == 1.
+/// at least one mode. Deterministic for fixed inputs.
 TaskPlan planTaskGraph(const TaskGraph &G, const TaskCosts &Costs,
                        double DeadlineSeconds,
                        const PlannerOptions &Opts = PlannerOptions(),

@@ -33,16 +33,14 @@ const char *senseName(RowSense S) {
 /// Emits at most Cap diagnostics of one kind; counts the rest.
 class CappedEmitter {
 public:
-  CappedEmitter(Report &R, int Cap) : R(R), Pass(PassName), Cap(Cap) {}
-  CappedEmitter(Report &R, const char *Pass, int Cap)
-      : R(R), Pass(Pass), Cap(Cap) {}
+  CappedEmitter(Report &R, int Cap) : R(R), Cap(Cap) {}
   void error(const std::string &Loc, const std::string &Msg) {
     if (Count++ < Cap)
-      R.error(Pass, Loc, Msg);
+      R.error(PassName, Loc, Msg);
   }
   void flush(const std::string &Kind) {
     if (Count > Cap)
-      R.note(Pass, "",
+      R.note(PassName, "",
              std::to_string(Count - Cap) + " further " + Kind +
                  " violations suppressed (" + std::to_string(Count) +
                  " total)");
@@ -50,7 +48,6 @@ public:
 
 private:
   Report &R;
-  const char *Pass;
   int Cap;
   int Count = 0;
 };
@@ -176,217 +173,4 @@ verify::checkCertificate(const LpProblem &Problem,
                 std::to_string(C.ObjectiveMismatch));
 
   return C;
-}
-
-ReductionCheck verify::checkReductionCertificate(
-    const LpProblem &Original, const std::vector<int> &OrigIntegerVars,
-    const ReductionCertificate &Cert, const LpProblem &Reduced,
-    const MilpSolution &ReducedSol, const CertificateCheckOptions &Opts) {
-  const char *Pass = "reduction";
-  ReductionCheck RC;
-  Report &R = RC.R;
-
-  // 1. Shape of the mapping.
-  if (Cert.OrigVars != Original.numVariables() ||
-      Cert.OrigRows != Original.numRows()) {
-    R.error(Pass, "shape",
-            "certificate claims " + std::to_string(Cert.OrigVars) + " vars / " +
-                std::to_string(Cert.OrigRows) + " rows but the original has " +
-                std::to_string(Original.numVariables()) + " / " +
-                std::to_string(Original.numRows()));
-    return RC;
-  }
-  if (Cert.ReducedVars != Reduced.numVariables() ||
-      Cert.ReducedRows != Reduced.numRows()) {
-    R.error(Pass, "shape",
-            "certificate claims a " + std::to_string(Cert.ReducedVars) +
-                "-var / " + std::to_string(Cert.ReducedRows) +
-                "-row reduction but the reduced problem has " +
-                std::to_string(Reduced.numVariables()) + " / " +
-                std::to_string(Reduced.numRows()));
-    return RC;
-  }
-  if (static_cast<int>(Cert.VarMap.size()) != Cert.OrigVars ||
-      static_cast<int>(Cert.FixedValue.size()) != Cert.OrigVars ||
-      static_cast<int>(Cert.RowMap.size()) != Cert.OrigRows) {
-    R.error(Pass, "shape", "mapping vector sizes disagree with OrigVars/OrigRows");
-    return RC;
-  }
-
-  // 2. VarMap is a bijection of the kept variables onto [0, ReducedVars),
-  //    kept columns carry identical bounds/costs, fixed values respect
-  //    the original bounds.
-  CappedEmitter VarDiags(R, Pass, Opts.MaxDiagnosticsPerKind);
-  std::vector<char> VarSeen(Cert.ReducedVars, 0);
-  for (int V = 0; V < Cert.OrigVars; ++V) {
-    int M = Cert.VarMap[V];
-    std::string Loc = "var " + std::to_string(V);
-    if (!Original.name(V).empty())
-      Loc += " (" + Original.name(V) + ")";
-    if (M < 0) {
-      double Val = Cert.FixedValue[V];
-      if (!std::isfinite(Val) || Val < Original.lowerBound(V) - Opts.Tolerance ||
-          Val > Original.upperBound(V) + Opts.Tolerance)
-        VarDiags.error(Loc, "fixed value " + std::to_string(Val) +
-                                " violates the original bounds");
-      continue;
-    }
-    if (M >= Cert.ReducedVars) {
-      VarDiags.error(Loc, "maps to out-of-range reduced var " + std::to_string(M));
-      continue;
-    }
-    if (VarSeen[M]) {
-      VarDiags.error(Loc, "reduced var " + std::to_string(M) + " claimed twice");
-      continue;
-    }
-    VarSeen[M] = 1;
-    if (Reduced.lowerBound(M) != Original.lowerBound(V) ||
-        Reduced.upperBound(M) != Original.upperBound(V) ||
-        Reduced.cost(M) != Original.cost(V))
-      VarDiags.error(Loc, "kept column " + std::to_string(M) +
-                              " changed bounds or cost in the reduction");
-  }
-  for (int M = 0; M < Cert.ReducedVars; ++M)
-    if (!VarSeen[M])
-      VarDiags.error("reduced var " + std::to_string(M),
-                     "not claimed by any original variable");
-  VarDiags.flush("variable-mapping");
-
-  // 3. Row replay: kept rows must be the original row with fixed terms
-  //    folded into the RHS; dropped rows must be satisfied by the fixed
-  //    values alone (they contained no free variable).
-  CappedEmitter RowDiags(R, Pass, Opts.MaxDiagnosticsPerKind);
-  std::vector<char> RowSeen(Cert.ReducedRows, 0);
-  for (int Row = 0; Row < Cert.OrigRows; ++Row) {
-    std::string Loc = "row " + std::to_string(Row);
-    // Fold the original row through the mapping: free-term coefficient
-    // sums per reduced variable, plus the fixed-term constant.
-    std::vector<double> FreeCoeff(Cert.ReducedVars, 0.0);
-    KahanSum FixedSum;
-    bool HasFree = false;
-    bool MappingBroken = false;
-    for (const LpTerm &T : Original.rowTerms(Row)) {
-      if (T.Var < 0 || T.Var >= Cert.OrigVars) {
-        RowDiags.error(Loc, "term on out-of-range variable");
-        MappingBroken = true;
-        break;
-      }
-      int M = Cert.VarMap[T.Var];
-      if (M < 0) {
-        FixedSum.add(T.Coeff * Cert.FixedValue[T.Var]);
-      } else if (M >= Cert.ReducedVars) {
-        MappingBroken = true;
-        break;
-      } else {
-        FreeCoeff[M] += T.Coeff;
-        HasFree = true;
-      }
-    }
-    if (MappingBroken)
-      continue;
-    int MR = Cert.RowMap[Row];
-    if (MR < 0) {
-      if (HasFree) {
-        RowDiags.error(Loc, "dropped but still contains free variables");
-        continue;
-      }
-      double Lhs = FixedSum.value(), Rhs = Original.rhs(Row);
-      double Resid = 0.0;
-      switch (Original.sense(Row)) {
-      case RowSense::LE:
-        Resid = Lhs - Rhs;
-        break;
-      case RowSense::GE:
-        Resid = Rhs - Lhs;
-        break;
-      case RowSense::EQ:
-        Resid = std::fabs(Lhs - Rhs);
-        break;
-      }
-      if (Resid / std::fmax(1.0, std::fabs(Rhs)) > Opts.Tolerance)
-        RowDiags.error(Loc, "dropped row violated by the fixed values (lhs " +
-                                std::to_string(Lhs) + " " +
-                                senseName(Original.sense(Row)) + " " +
-                                std::to_string(Rhs) + ")");
-      continue;
-    }
-    if (MR >= Cert.ReducedRows) {
-      RowDiags.error(Loc, "maps to out-of-range reduced row " + std::to_string(MR));
-      continue;
-    }
-    if (RowSeen[MR]) {
-      RowDiags.error(Loc, "reduced row " + std::to_string(MR) + " claimed twice");
-      continue;
-    }
-    RowSeen[MR] = 1;
-    if (Reduced.sense(MR) != Original.sense(Row)) {
-      RowDiags.error(Loc, "sense changed in the reduction");
-      continue;
-    }
-    double WantRhs = Original.rhs(Row) - FixedSum.value();
-    if (std::fabs(Reduced.rhs(MR) - WantRhs) /
-            std::fmax(1.0, std::fabs(WantRhs)) >
-        Opts.Tolerance) {
-      RowDiags.error(Loc, "reduced rhs " + std::to_string(Reduced.rhs(MR)) +
-                              " does not equal original rhs minus fixed terms " +
-                              std::to_string(WantRhs));
-      continue;
-    }
-    std::vector<double> GotCoeff(Cert.ReducedVars, 0.0);
-    for (const LpTerm &T : Reduced.rowTerms(MR)) {
-      if (T.Var < 0 || T.Var >= Cert.ReducedVars) {
-        RowDiags.error(Loc, "reduced row has an out-of-range term");
-        GotCoeff.clear();
-        break;
-      }
-      GotCoeff[T.Var] += T.Coeff;
-    }
-    if (GotCoeff.empty())
-      continue;
-    for (int M = 0; M < Cert.ReducedVars; ++M)
-      if (GotCoeff[M] != FreeCoeff[M]) {
-        RowDiags.error(Loc, "coefficient on reduced var " + std::to_string(M) +
-                                " changed in the reduction (" +
-                                std::to_string(FreeCoeff[M]) + " -> " +
-                                std::to_string(GotCoeff[M]) + ")");
-        break;
-      }
-  }
-  for (int MR = 0; MR < Cert.ReducedRows; ++MR)
-    if (!RowSeen[MR])
-      RowDiags.error("reduced row " + std::to_string(MR),
-                     "not claimed by any original row");
-  RowDiags.flush("row-mapping");
-
-  if (!R.ok())
-    return RC;
-
-  // 4. Expand the reduced point and certify it against the ORIGINAL
-  //    problem: feasibility, integrality, and the objective bridge.
-  if (ReducedSol.Status != MilpStatus::Optimal &&
-      ReducedSol.Status != MilpStatus::Feasible) {
-    R.note(Pass, "",
-           std::string("reduced solution status is ") +
-               milpStatusName(ReducedSol.Status) + "; no point to expand");
-    return RC;
-  }
-  if (static_cast<int>(ReducedSol.X.size()) != Cert.ReducedVars) {
-    R.error(Pass, "",
-            "reduced solution has " + std::to_string(ReducedSol.X.size()) +
-                " values for " + std::to_string(Cert.ReducedVars) +
-                " variables");
-    return RC;
-  }
-  RC.Checked = true;
-
-  MilpSolution FullSol = ReducedSol;
-  FullSol.X = Cert.expandSolution(ReducedSol.X);
-  FullSol.Objective = ReducedSol.Objective + Cert.ObjectiveOffset;
-  RC.Expanded = checkCertificate(Original, OrigIntegerVars, FullSol, Opts);
-
-  // The expanded certificate already compares the recomputed original
-  // objective against FullSol.Objective = reduced + offset; surface the
-  // bridge error explicitly for quantitative assertions.
-  RC.ObjectiveBridgeError = RC.Expanded.ObjectiveMismatch;
-  return RC;
 }

@@ -28,7 +28,6 @@
 
 #include "lp/LpProblem.h"
 #include "milp/MilpSolver.h"
-#include "milp/Presolve.h"
 #include "verify/Report.h"
 
 #include <vector>
@@ -76,38 +75,6 @@ checkCertificate(const LpProblem &Problem,
                  const MilpSolution &Sol,
                  const CertificateCheckOptions &Opts =
                      CertificateCheckOptions());
-
-/// Outcome of replaying a presolve ReductionCertificate.
-struct ReductionCheck {
-  /// Mapping-replay diagnostics, pass name "reduction".
-  Report R;
-  /// True when the mapping was well-formed enough to expand a point and
-  /// certify it; false means structural replay already failed.
-  bool Checked = false;
-  /// Full original-space certificate of the expanded point (pass
-  /// "certificate" diagnostics live here).
-  Certificate Expanded;
-  /// |reduced objective + offset - original objective at the expanded
-  /// point|, scaled like the other objective checks.
-  double ObjectiveBridgeError = 0.0;
-
-  bool ok() const { return R.ok() && Expanded.R.ok(); }
-};
-
-/// Replays \p Cert against the ORIGINAL problem: checks the
-/// variable/row mapping is a well-formed bijection onto the reduced
-/// problem, that every kept column/row of \p Reduced is exactly the
-/// original one with fixed terms folded into the right-hand side, that
-/// every dropped row is satisfied by the fixed values alone, then
-/// expands \p ReducedSol back to original space and certifies
-/// feasibility, integrality (over \p OrigIntegerVars), and objective
-/// equality (reduced objective + Cert.ObjectiveOffset) against
-/// \p Original. A buggy presolve cannot pass this check.
-ReductionCheck checkReductionCertificate(
-    const LpProblem &Original, const std::vector<int> &OrigIntegerVars,
-    const ReductionCertificate &Cert, const LpProblem &Reduced,
-    const MilpSolution &ReducedSol,
-    const CertificateCheckOptions &Opts = CertificateCheckOptions());
 
 } // namespace verify
 } // namespace cdvs

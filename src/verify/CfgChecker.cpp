@@ -103,8 +103,8 @@ Report verify::checkCfgProfile(const Function &Fn, const Profile &Prof,
   // Reachability: executed blocks must be reachable from the entry and
   // must reach an exit; statically dead blocks are only warnings. The
   // classification comes from the shared static analysis — the same one
-  // the MILP presolve consumes — so lint and presolve cannot disagree
-  // about which blocks and edges are dead.
+  // dvs-lint --static consumes — so the two cannot disagree about which
+  // blocks and edges are dead.
   analysis::Reachability Reach = analysis::computeReachability(Fn);
   for (int B = 0; B < NumBlocks; ++B) {
     bool Executed = Prof.BlockExecs[B] > 0;

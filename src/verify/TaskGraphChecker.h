@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Pass 6, "taskgraph": independent legality audit of an executed
+/// Pass 5, "taskgraph": independent legality audit of an executed
 /// task-graph plan (taskgraph/Online.h) against the graph and the
 /// profiled costs it was planned from. Checks, from scratch and without
 /// trusting the planner:

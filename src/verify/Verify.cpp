@@ -42,14 +42,6 @@ Audit verify::auditScheduleResult(
                               SR.Artifacts->IntegerVars,
                               SR.Artifacts->Solution, COpts);
     A.R.merge(A.Cert.R);
-    if (SR.Artifacts->Presolved) {
-      A.Reduction = checkReductionCertificate(
-          SR.Artifacts->Problem, SR.Artifacts->IntegerVars,
-          SR.Artifacts->Reduction, SR.Artifacts->ReducedProblem,
-          SR.Artifacts->ReducedSolution, COpts);
-      A.R.merge(A.Reduction.R);
-      A.R.merge(A.Reduction.Expanded.R);
-    }
   } else {
     A.R.note("certificate", "",
              "no solver artifacts retained (DvsOptions::KeepArtifacts "

@@ -5,17 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Umbrella for the three verifier passes plus the one-call audit the
+/// Umbrella for the verifier passes plus the one-call audit the
 /// service pipeline, the benches, and tools/dvs-lint share:
 ///
 ///   pass 1  "cfg"          — checkCfgProfile   (CfgChecker.h)
 ///   pass 2  "schedule"     — checkSchedule     (ScheduleChecker.h)
 ///   pass 3  "certificate"  — checkCertificate  (CertificateChecker.h)
-///   pass 4  "reduction"    — checkReductionCertificate (same header);
-///                            runs only when the scheduler presolved
-///   pass 5  "static"       — checkStatic       (StaticChecker.h);
+///   pass 4  "static"       — checkStatic       (StaticChecker.h);
 ///                            dvs-lint --static only, not in the audit
-///   pass 6  "taskgraph"    — checkTaskPlan     (TaskGraphChecker.h);
+///   pass 5  "taskgraph"    — checkTaskPlan     (TaskGraphChecker.h);
 ///                            task-graph jobs only, invoked by the
 ///                            service's graph pipeline instead of
 ///                            auditScheduleResult
@@ -58,9 +56,6 @@ struct Audit {
   Report R;
   ScheduleCheck Schedule;
   Certificate Cert;
-  /// Populated when the scheduler presolved (Artifacts->Presolved): the
-  /// replay of the reduction certificate against the original MILP.
-  ReductionCheck Reduction;
   bool ok() const { return R.ok(); }
 };
 

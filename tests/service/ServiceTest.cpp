@@ -327,6 +327,77 @@ TEST(Service, WarnVerifyAuditsABatch) {
   EXPECT_EQ(Service.stats().VerifyFailures, 0);
 }
 
+TEST(Service, StrictVerifyServesOptimalAnswersOnOnceFaultyInstances) {
+  // Instances once served above the best single-mode energy, called
+  // infeasible although the all-fastest schedule meets the deadline, or
+  // failed strict verify. One service, so the mpeg_decode profiles are
+  // collected once and shared by its four deadlines.
+  ServiceOptions O;
+  O.Verify = VerifyMode::Strict;
+  SchedulerService Service(O);
+  auto mpegJob = [](const std::string &Id, double Tightness) {
+    JobRequest R;
+    R.Id = Id;
+    R.Workload = "mpeg_decode";
+    R.Categories = {{"100b", 1.0}, {"bbc", 1.0}, {"flwr", 1.0},
+                    {"cact", 1.0}};
+    R.NumLevels = 7;
+    R.DeadlineTightness = Tightness;
+    return R;
+  };
+  auto levelsJob = [](const std::string &Workload, int Levels,
+                      double Tightness) {
+    JobRequest R;
+    R.Id = Workload;
+    R.Workload = Workload;
+    R.NumLevels = Levels;
+    R.DeadlineTightness = Tightness;
+    return R;
+  };
+  std::vector<JobResult> Results = Service.runBatch({
+      mpegJob("t=0.252", 0.252),
+      mpegJob("t=0.039", 0.039),
+      mpegJob("t=0.354", 0.354),
+      mpegJob("t=0.378", 0.378),
+      levelsJob("gsm", 13, 0.8),
+      levelsJob("ghostscript", 7, 0.8674999999999999),
+  });
+  for (const JobResult &R : Results) {
+    EXPECT_EQ(R.Status, JobStatus::Done) << R.Id << ": " << R.Reason;
+    EXPECT_EQ(R.VerifyErrors, 0) << R.Id << ": " << R.VerifyDetail;
+  }
+  // At t=0.252 the best single mode that meets the deadline costs
+  // 203.521 uJ; the optimum can only be cheaper.
+  EXPECT_LE(Results[0].PredictedEnergyJoules, 203.521e-6 * (1.0 + 1e-5));
+  ServiceStats S = Service.stats();
+  EXPECT_EQ(S.VerifyFailures, 0);
+  EXPECT_EQ(S.ProfileCacheMisses, 6); // four mpeg inputs, gsm, ghostscript
+}
+
+TEST(Service, ConcurrentMissesOnOneProfileKeyCollectOnce) {
+  // Workers released together all miss on the same new profile key;
+  // exactly one collects, the rest wait for its profile.
+  const int N = 4;
+  ServiceOptions O;
+  O.NumWorkers = N;
+  O.StartPaused = true;
+  SchedulerService Service(O);
+  std::vector<std::future<JobResult>> Futures;
+  for (int I = 0; I < N; ++I) {
+    JobRequest R = gsmJob("p" + std::to_string(I), 0.2 + 0.1 * I);
+    R.NumLevels = 7;
+    Futures.push_back(Service.submit(R));
+  }
+  Service.resume();
+  for (std::future<JobResult> &F : Futures) {
+    JobResult R = F.get();
+    ASSERT_EQ(R.Status, JobStatus::Done) << R.Id << ": " << R.Reason;
+  }
+  ServiceStats S = Service.stats();
+  EXPECT_EQ(S.ProfileCacheMisses, 1);
+  EXPECT_EQ(S.ProfileCacheHits, N - 1);
+}
+
 TEST(Service, ShutdownDrainsThenRejects) {
   ServiceOptions O;
   O.NumWorkers = 2;

@@ -40,7 +40,6 @@ TaskCosts uniformCosts(int NumTasks) {
 OnlineResult solved(const TaskGraph &G, double Deadline, bool Replan = true) {
   OnlineOptions O;
   O.Replan = Replan;
-  O.Planner.Milp.NumThreads = 1;
   return runOnline(G, uniformCosts(static_cast<int>(G.Nodes.size())),
                    Deadline, O);
 }

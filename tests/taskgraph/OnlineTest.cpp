@@ -45,10 +45,9 @@ TaskCosts uniformCosts(int NumTasks) {
   return C;
 }
 
-OnlineOptions deterministic(bool Replan = true) {
+OnlineOptions replanning(bool Replan = true) {
   OnlineOptions O;
   O.Replan = Replan;
-  O.Planner.Milp.NumThreads = 1;
   return O;
 }
 
@@ -58,7 +57,7 @@ TEST(OnlineReclaim, EarlyFinishReclaimsSlackIntoACheaperMode) {
   // now has 4 seconds and re-plans down to the slowest mode (energy 1),
   // committing 2 + 1 = 3 joules against the static 4.
   OnlineResult R =
-      runOnline(chain2(0.5), uniformCosts(2), 5.0, deterministic());
+      runOnline(chain2(0.5), uniformCosts(2), 5.0, replanning());
   ASSERT_TRUE(R.Feasible);
   EXPECT_DOUBLE_EQ(R.StaticEnergyJoules, 4.0);
   EXPECT_EQ(R.Replans, 1);
@@ -80,7 +79,7 @@ TEST(OnlineReclaim, OnlineNeverExceedsStaticWhenNoTaskOverruns) {
   // profile (where the guard must hold with equality at worst).
   for (double F : {1.0, 0.9, 0.75, 0.5, 0.25}) {
     OnlineResult R =
-        runOnline(chain2(F), uniformCosts(2), 5.0, deterministic());
+        runOnline(chain2(F), uniformCosts(2), 5.0, replanning());
     ASSERT_TRUE(R.Feasible) << "factor " << F;
     EXPECT_LE(R.PlannedEnergyJoules, R.StaticEnergyJoules)
         << "factor " << F;
@@ -94,7 +93,7 @@ TEST(OnlineReclaim, OverrunTripsTheForcedAcceptBranch) {
   // mode (time 2) is now deadline-infeasible, so the guard must accept
   // the costlier fastest mode instead of keeping the incumbent.
   OnlineResult R =
-      runOnline(chain2(1.5), uniformCosts(2), 4.0, deterministic());
+      runOnline(chain2(1.5), uniformCosts(2), 4.0, replanning());
   ASSERT_TRUE(R.Feasible);
   EXPECT_DOUBLE_EQ(R.StaticEnergyJoules, 4.0);
   EXPECT_EQ(R.Tasks[1].Mode, 2);
@@ -108,7 +107,7 @@ TEST(OnlineReclaim, OverrunTripsTheForcedAcceptBranch) {
 
 TEST(OnlineReclaim, ReplanOffExecutesTheStaticPlanVerbatim) {
   OnlineResult R =
-      runOnline(chain2(0.5), uniformCosts(2), 5.0, deterministic(false));
+      runOnline(chain2(0.5), uniformCosts(2), 5.0, replanning(false));
   ASSERT_TRUE(R.Feasible);
   EXPECT_EQ(R.Replans, 0);
   EXPECT_EQ(R.ReplansAccepted, 0);
@@ -122,7 +121,7 @@ TEST(OnlineReclaim, ReplanOffExecutesTheStaticPlanVerbatim) {
 
 TEST(OnlineReclaim, InfeasibleDeadlineReportsCleanly) {
   OnlineResult R =
-      runOnline(chain2(1.0), uniformCosts(2), 1.5, deterministic());
+      runOnline(chain2(1.0), uniformCosts(2), 1.5, replanning());
   EXPECT_FALSE(R.Feasible);
   EXPECT_EQ(R.Replans, 0);
 }
@@ -131,11 +130,11 @@ TEST(OnlineReclaim, RerunsAreByteIdenticalIncludingTheReplanLog) {
   // Satellite 3, single-threaded half: equal inputs give equal bytes.
   TaskGraph G = chain2(0.5);
   TaskCosts C = uniformCosts(2);
-  OnlineResult First = runOnline(G, C, 5.0, deterministic());
+  OnlineResult First = runOnline(G, C, 5.0, replanning());
   ASSERT_TRUE(First.Feasible);
   std::string FirstText = writeTaskPlan(G, First);
   for (int I = 0; I < 3; ++I) {
-    OnlineResult Again = runOnline(G, C, 5.0, deterministic());
+    OnlineResult Again = runOnline(G, C, 5.0, replanning());
     EXPECT_EQ(writeTaskPlan(G, Again), FirstText);
     EXPECT_EQ(Again.ReplanLog, First.ReplanLog);
   }
@@ -151,9 +150,9 @@ TEST(OnlineReclaim, ConcurrentRunsCannotPerturbEachOther) {
   TaskGraph Late = chain2(1.5);
   TaskCosts C = uniformCosts(2);
   std::string EarlyText = writeTaskPlan(Early, runOnline(Early, C, 5.0,
-                                                         deterministic()));
+                                                         replanning()));
   std::string LateText = writeTaskPlan(Late, runOnline(Late, C, 4.0,
-                                                       deterministic()));
+                                                       replanning()));
 
   constexpr int kThreads = 8;
   std::vector<std::string> Got(kThreads);
@@ -162,7 +161,7 @@ TEST(OnlineReclaim, ConcurrentRunsCannotPerturbEachOther) {
     Pool.emplace_back([&, T] {
       const TaskGraph &G = (T % 2 == 0) ? Early : Late;
       double Deadline = (T % 2 == 0) ? 5.0 : 4.0;
-      Got[T] = writeTaskPlan(G, runOnline(G, C, Deadline, deterministic()));
+      Got[T] = writeTaskPlan(G, runOnline(G, C, Deadline, replanning()));
     });
   for (std::thread &Th : Pool)
     Th.join();

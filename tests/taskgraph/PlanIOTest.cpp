@@ -34,9 +34,7 @@ OnlineResult solvedChain() {
   TaskCosts C;
   C.TimeAtMode.assign(2, {4.0, 2.0, 1.0});
   C.EnergyAtMode.assign(2, {1.0, 2.0, 4.0});
-  OnlineOptions O;
-  O.Planner.Milp.NumThreads = 1;
-  return runOnline(chain2(), C, 5.0, O);
+  return runOnline(chain2(), C, 5.0);
 }
 
 TEST(TaskPlanIO, WriteReadWriteIsAFixedPoint) {

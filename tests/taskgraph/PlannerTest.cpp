@@ -40,15 +40,9 @@ TaskCosts uniformCosts(int NumTasks) {
   return C;
 }
 
-PlannerOptions deterministic() {
-  PlannerOptions O;
-  O.Milp.NumThreads = 1;
-  return O;
-}
-
 TEST(TaskPlanner, LooseDeadlineRunsEverythingSlowest) {
   TaskGraph G = chain2();
-  TaskPlan P = planTaskGraph(G, uniformCosts(2), 8.0, deterministic());
+  TaskPlan P = planTaskGraph(G, uniformCosts(2), 8.0);
   ASSERT_TRUE(P.Feasible);
   EXPECT_EQ(P.Status, MilpStatus::Optimal);
   ASSERT_EQ(P.Tasks.size(), 2u);
@@ -68,7 +62,7 @@ TEST(TaskPlanner, TightDeadlinePicksTheExactArgmin) {
   // (2,1),(1,4),(1,2),(1,1) with energies 5,4,6,5,6,8 — argmin is
   // mode (1,1) at energy 4.
   TaskGraph G = chain2();
-  TaskPlan P = planTaskGraph(G, uniformCosts(2), 5.0, deterministic());
+  TaskPlan P = planTaskGraph(G, uniformCosts(2), 5.0);
   ASSERT_TRUE(P.Feasible);
   EXPECT_EQ(P.Tasks[0].Mode, 1);
   EXPECT_EQ(P.Tasks[1].Mode, 1);
@@ -78,7 +72,7 @@ TEST(TaskPlanner, TightDeadlinePicksTheExactArgmin) {
 
 TEST(TaskPlanner, SubFastestDeadlineIsInfeasible) {
   TaskGraph G = chain2();
-  TaskPlan P = planTaskGraph(G, uniformCosts(2), 1.9, deterministic());
+  TaskPlan P = planTaskGraph(G, uniformCosts(2), 1.9);
   EXPECT_FALSE(P.Feasible);
   EXPECT_EQ(P.Status, MilpStatus::Infeasible);
 }
@@ -88,7 +82,7 @@ TEST(TaskPlanner, EnergyIsMonotoneInTheDeadline) {
   TaskCosts C = uniformCosts(2);
   double Last = -1.0;
   for (double D : {2.0, 3.0, 4.0, 5.0, 6.0, 8.0}) {
-    TaskPlan P = planTaskGraph(G, C, D, deterministic());
+    TaskPlan P = planTaskGraph(G, C, D);
     ASSERT_TRUE(P.Feasible) << "deadline " << D;
     if (Last >= 0.0)
       EXPECT_LE(P.PlannedEnergyJoules, Last) << "deadline " << D;
@@ -106,7 +100,7 @@ TEST(TaskPlanner, ParallelBranchesScaleIndependently) {
              {"b", "gsm", "", 1.0},
              {"c", "gsm", "", 1.0}};
   G.Edges = {{0, 1}, {0, 2}};
-  TaskPlan P = planTaskGraph(G, uniformCosts(3), 8.0, deterministic());
+  TaskPlan P = planTaskGraph(G, uniformCosts(3), 8.0);
   ASSERT_TRUE(P.Feasible);
   EXPECT_EQ(P.Tasks[0].Mode, 0);
   EXPECT_EQ(P.Tasks[1].Mode, 0);
@@ -125,7 +119,7 @@ TEST(TaskPlanner, PlannableSubsetHonorsReleases) {
   TaskGraph G = chain2();
   std::vector<char> Plannable = {0, 1};
   std::vector<double> Release = {0.0, 5.0};
-  TaskPlan P = planTaskGraph(G, uniformCosts(2), 9.0, deterministic(),
+  TaskPlan P = planTaskGraph(G, uniformCosts(2), 9.0, PlannerOptions(),
                              Plannable, Release);
   ASSERT_TRUE(P.Feasible);
   EXPECT_EQ(P.Tasks[0].Mode, -1) << "unplanned tasks keep the -1 sentinel";
@@ -136,7 +130,7 @@ TEST(TaskPlanner, PlannableSubsetHonorsReleases) {
   EXPECT_DOUBLE_EQ(P.PlannedEnergyJoules, 1.0);
 
   // One second less room and the slowest mode no longer fits.
-  TaskPlan Q = planTaskGraph(G, uniformCosts(2), 8.0, deterministic(),
+  TaskPlan Q = planTaskGraph(G, uniformCosts(2), 8.0, PlannerOptions(),
                              Plannable, Release);
   ASSERT_TRUE(Q.Feasible);
   EXPECT_EQ(Q.Tasks[1].Mode, 1);
@@ -148,8 +142,8 @@ TEST(TaskPlanner, CriticalPathBoundsMatchHandComputation) {
   EXPECT_DOUBLE_EQ(criticalPathSeconds(G, C, -1), 2.0); // all-fastest
   EXPECT_DOUBLE_EQ(criticalPathSeconds(G, C, 0), 8.0);  // all-slowest
   // The all-fastest critical path is the feasibility frontier.
-  EXPECT_TRUE(planTaskGraph(G, C, 2.0, deterministic()).Feasible);
-  EXPECT_FALSE(planTaskGraph(G, C, 1.99, deterministic()).Feasible);
+  EXPECT_TRUE(planTaskGraph(G, C, 2.0).Feasible);
+  EXPECT_FALSE(planTaskGraph(G, C, 1.99).Feasible);
 }
 
 } // namespace

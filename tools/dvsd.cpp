@@ -146,10 +146,6 @@ int main(int argc, char **argv) {
       "verify", "off",
       "post-solve static verification: off, warn (record findings), or "
       "strict (fail jobs with errors)");
-  std::string &PresolveArg = P.addString(
-      "presolve", "on",
-      "certified MILP presolve: on (analyze + reduce, schedules stay "
-      "byte-identical) or off (solve the full instance)");
   bool &TaskGraphMode = P.addFlag(
       "taskgraph",
       "run the canned task-graph batch instead of request lines");
@@ -170,12 +166,6 @@ int main(int argc, char **argv) {
                  "dvsd: --verify must be off, warn, or strict (got "
                  "'%s')\n",
                  VerifyArg.c_str());
-    return 1;
-  }
-  if (PresolveArg != "on" && PresolveArg != "off") {
-    std::fprintf(stderr,
-                 "dvsd: --presolve must be on or off (got '%s')\n",
-                 PresolveArg.c_str());
     return 1;
   }
   if (!P.positional().empty())
@@ -292,7 +282,6 @@ int main(int argc, char **argv) {
   O.QueueCapacity = static_cast<size_t>(QueueCap < 1 ? 1 : QueueCap);
   O.CacheCapacity = static_cast<size_t>(CacheCap < 1 ? 1 : CacheCap);
   O.Verify = Verify;
-  O.Presolve = PresolveArg == "on";
   SchedulerService Service(O);
 
   long Done = 0, NotDone = ParseErrors;
