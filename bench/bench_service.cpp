@@ -11,8 +11,8 @@
 //    collapsing onto the in-flight leader or hitting the fresh entry.
 //
 // The checks are hard asserts, so the binary doubles as an integration
-// test; scripts/check.sh runs it. Results also land in
-// BENCH_service.json for machine consumption.
+// test; scripts/check.sh runs it. Results also print as one JSON record
+// on stdout (or into --benchmark_out=FILE) for machine consumption.
 //
 //===----------------------------------------------------------------------===//
 
@@ -59,8 +59,8 @@ int main(int argc, char **argv) {
               "concurrent-duplicate collapse");
   int &Threads =
       P.addInt("threads", 0, "service workers; 0 = one per core");
-  std::string &OutPath = P.addString("benchmark_out", "BENCH_service.json",
-                                     "JSON results file");
+  std::string &OutPath = P.addString(
+      "benchmark_out", "", "JSON results file; empty prints to stdout");
   if (!P.parseOrExit(argc, argv))
     return 0;
 
@@ -203,7 +203,8 @@ int main(int argc, char **argv) {
               DupWorkload, DupTightness, DupMisses, DupShared, DupHits);
   assert(DupShared >= 1 && "no request collapsed onto the leader");
 
-  std::FILE *Out = std::fopen(OutPath.c_str(), "w");
+  std::FILE *Out =
+      OutPath.empty() ? stdout : std::fopen(OutPath.c_str(), "w");
   if (!Out) {
     std::fprintf(stderr, "bench_service: cannot write %s\n",
                  OutPath.c_str());
@@ -237,7 +238,9 @@ int main(int argc, char **argv) {
       Batch.size(), ColdSec, WarmSec, Speedup, WarmHits, Identical,
       StageQueue, StageProfile, StageBound, StageSolve, StageSerialize,
       StageTotal, NumDup, DupMisses, DupShared, DupHits);
-  std::fclose(Out);
-  std::printf("wrote %s\n", OutPath.c_str());
+  if (Out != stdout) {
+    std::fclose(Out);
+    std::printf("wrote %s\n", OutPath.c_str());
+  }
   return 0;
 }

@@ -5,8 +5,9 @@
 // cold), the cycle-level simulator, and end-to-end
 // DVS scheduling. These are the pieces whose wall-clock cost the paper's
 // Figures 14/18 measure; the microbenches track their throughput across
-// instance sizes. Run with no arguments the binary also writes its
-// results to BENCH_solver.json (google-benchmark JSON format).
+// instance sizes. Results print as google-benchmark JSON on stdout, or
+// into --benchmark_out=FILE (BENCH_solver.json is one such deliberate
+// run).
 //
 //===----------------------------------------------------------------------===//
 
@@ -152,16 +153,16 @@ BENCHMARK(BM_EndToEndSchedule)->Unit(benchmark::kMillisecond);
 
 } // namespace
 
-// Like BENCHMARK_MAIN(), but defaults --benchmark_out to
-// BENCH_solver.json (JSON format) so every run leaves a machine-readable
-// record next to the printed table. Unrecognized --benchmark_* flags
-// pass through to google-benchmark untouched.
+// Like BENCHMARK_MAIN(), but prints the results as JSON on stdout unless
+// --benchmark_out=FILE names a file, so no run overwrites a tracked
+// record by accident. Unrecognized --benchmark_* flags pass through to
+// google-benchmark untouched.
 int main(int argc, char **argv) {
   ArgParser P("bench_solver_micro",
               "google-benchmark microbenches of the simplex, MILP, "
               "simulator, and end-to-end scheduling substrates");
-  std::string &Out = P.addString("benchmark_out", "BENCH_solver.json",
-                                 "results file (google-benchmark)");
+  std::string &Out = P.addString("benchmark_out", "",
+                                 "results file (google-benchmark); empty prints to stdout");
   std::string &Format = P.addString("benchmark_out_format", "json",
                                     "results format (google-benchmark)");
   P.allowUnknown(true);
@@ -172,8 +173,12 @@ int main(int argc, char **argv) {
   // the defaults apply) plus every pass-through --benchmark_* flag.
   std::vector<std::string> Rebuilt;
   Rebuilt.push_back(argv[0]);
-  Rebuilt.push_back("--benchmark_out=" + Out);
-  Rebuilt.push_back("--benchmark_out_format=" + Format);
+  if (Out.empty()) {
+    Rebuilt.push_back("--benchmark_format=" + Format);
+  } else {
+    Rebuilt.push_back("--benchmark_out=" + Out);
+    Rebuilt.push_back("--benchmark_out_format=" + Format);
+  }
   for (const std::string &A : P.unparsed())
     Rebuilt.push_back(A);
   std::vector<char *> Args;

@@ -5,8 +5,8 @@
 // FrameParser reassembly throughput for contiguous streams and for the
 // fragmented arrival pattern real sockets produce. The parser numbers
 // bound what one net::Server loop thread can ingest before the MILP
-// pipeline — not the network — is the bottleneck. Run with no arguments
-// the binary also writes BENCH_wire.json (google-benchmark format).
+// pipeline — not the network — is the bottleneck. Results print as
+// google-benchmark JSON on stdout, or into --benchmark_out=FILE.
 //
 //===----------------------------------------------------------------------===//
 
@@ -132,15 +132,15 @@ BENCHMARK(BM_RejectRoundTrip);
 
 } // namespace
 
-// Like BENCHMARK_MAIN(), but defaults --benchmark_out to BENCH_wire.json
-// so every run leaves a machine-readable record next to the printed
-// table. Unrecognized --benchmark_* flags pass through untouched.
+// Like BENCHMARK_MAIN(), but prints the results as JSON on stdout unless
+// --benchmark_out=FILE names a file. Unrecognized --benchmark_* flags
+// pass through untouched.
 int main(int argc, char **argv) {
   ArgParser P("bench_wire",
               "google-benchmark microbenches of the cdvs-wire v1 "
               "framing codec and parser");
-  std::string &Out = P.addString("benchmark_out", "BENCH_wire.json",
-                                 "results file (google-benchmark)");
+  std::string &Out = P.addString("benchmark_out", "",
+                                 "results file (google-benchmark); empty prints to stdout");
   std::string &Format = P.addString("benchmark_out_format", "json",
                                     "results format (google-benchmark)");
   P.allowUnknown(true);
@@ -149,8 +149,12 @@ int main(int argc, char **argv) {
 
   std::vector<std::string> Rebuilt;
   Rebuilt.push_back(argv[0]);
-  Rebuilt.push_back("--benchmark_out=" + Out);
-  Rebuilt.push_back("--benchmark_out_format=" + Format);
+  if (Out.empty()) {
+    Rebuilt.push_back("--benchmark_format=" + Format);
+  } else {
+    Rebuilt.push_back("--benchmark_out=" + Out);
+    Rebuilt.push_back("--benchmark_out_format=" + Format);
+  }
   for (const std::string &A : P.unparsed())
     Rebuilt.push_back(A);
   std::vector<char *> Args;

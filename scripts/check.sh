@@ -37,7 +37,9 @@
 #      slow-client probe the server must survive; an overload probe
 #      (connection churn + slowloris alongside healthy traffic) in
 #      which healthy p99 stays near the unloaded baseline and the
-#      attacks draw structured Rejects visible in cdvs_net_sheds_total;
+#      attacks draw structured Rejects visible in cdvs_net_sheds_total
+#      — both probes run against a dvs-server and again against a
+#      dvs-router fronting one dvs-server;
 #      and dvs-stat --check over the server's metrics snapshot
 #      (scripts/metric_names_net.txt);
 #   9. cluster failover: the cluster test binary under TSan, then a
@@ -223,19 +225,63 @@ else
   echo "  ($CORES-core host: skipping the 4-reactor >= 2x floor)"
 fi
 
+# The client-facing guards are net::Server's, shared by dvs-server and
+# dvs-router, so both probes run against each: a dvs-server, then a
+# dvs-router fronting one dvs-server, with the same assertions.
+cmake --build build -j"$JOBS" --target dvs-router
+
+# wait_port FILE WHAT: waits for a --port-file to appear.
+wait_port() {
+  for _ in $(seq 1 100); do
+    [ -s "$1" ] && break
+    sleep 0.1
+  done
+  [ -s "$1" ] || { echo "$2 never listened"; exit 1; }
+}
+
+# start_front KIND DIR SERVICE_FLAGS CONNECTION_FLAGS: starts the front
+# end under test — a dvs-server, or a dvs-router over one dvs-server —
+# writing DIR/port, DIR/front.log and DIR/metrics.prom. The service
+# flags go to the dvs-server, the connection flags to the front end.
+start_front() {
+  mkdir -p "$2"
+  BACK_PID=""
+  if [ "$1" = server ]; then
+    # shellcheck disable=SC2086
+    ./build/tools/dvs-server --port=0 $3 $4 --port-file="$2/port" \
+      --metrics-out="$2/metrics.prom" > "$2/front.log" &
+    FRONT_PID=$!
+  else
+    # shellcheck disable=SC2086
+    ./build/tools/dvs-server --port=0 $3 --port-file="$2/bport" \
+      > "$2/backend.log" &
+    BACK_PID=$!
+    wait_port "$2/bport" "the routed dvs-server"
+    # shellcheck disable=SC2086
+    ./build/tools/dvs-router --port=0 \
+      --backends="127.0.0.1:$(cat "$2/bport")" $4 --port-file="$2/port" \
+      --metrics-out="$2/metrics.prom" > "$2/front.log" &
+    FRONT_PID=$!
+  fi
+  wait_port "$2/port" "dvs-$1"
+}
+
+stop_front() {
+  kill -TERM "$FRONT_PID"
+  wait "$FRONT_PID"
+  if [ -n "$BACK_PID" ]; then
+    kill -TERM "$BACK_PID"
+    wait "$BACK_PID"
+  fi
+}
+
+for FRONT in server router; do
 echo
-echo "== net: malformed-frame + slow-client probes =="
-./build/tools/dvs-server --port=0 --threads="$JOBS" --reactors=2 \
-  --idle-timeout-ms=500 --port-file="$NET_TMP/port" \
-  --metrics-out="$NET_TMP/net_metrics.prom" \
-  > "$NET_TMP/server.log" &
-NET_SRV=$!
-for _ in $(seq 1 100); do
-  [ -s "$NET_TMP/port" ] && break
-  sleep 0.1
-done
-[ -s "$NET_TMP/port" ] || { echo "dvs-server never listened"; exit 1; }
-NET_PORT="$(cat "$NET_TMP/port")"
+echo "== net: malformed-frame + slow-client probes (dvs-$FRONT) =="
+PROBE="$NET_TMP/probe_$FRONT"
+start_front "$FRONT" "$PROBE" "--threads=$JOBS" \
+  "--reactors=2 --idle-timeout-ms=500"
+NET_PORT="$(cat "$PROBE/port")"
 
 # A garbage frame draws a reject, then a close — and must not take the
 # server down.
@@ -250,61 +296,52 @@ exec 4<&- 4>&-
 # The server still serves after both probes.
 ./build/tools/dvs-loadgen --port="$NET_PORT" --connections=2 \
   --rate=1000 --requests=500 --distinct=4 \
-  --benchmark_out="$NET_TMP/probe_bench.json"
-kill -TERM "$NET_SRV"
-wait "$NET_SRV"
-grep -q '"protocol_errors":1,' "$NET_TMP/server.log" \
+  --benchmark_out="$PROBE/probe_bench.json"
+stop_front
+grep -q '"protocol_errors":1,' "$PROBE/front.log" \
   || { echo "garbage frame was not counted as a protocol error"; exit 1; }
-grep -q '"idle_closes":1,' "$NET_TMP/server.log" \
+grep -q '"idle_closes":1,' "$PROBE/front.log" \
   || { echo "silent client was not evicted by the idle timeout"; exit 1; }
 
 echo
-echo "== net: overload probe (churn + slowloris vs healthy traffic) =="
-./build/tools/dvs-server --port=0 --threads="$JOBS" --reactors=2 \
-  --queue=4096 --slow-frame-timeout-ms=200 --shed-high=256 \
-  --port-file="$NET_TMP/ol_port" \
-  --metrics-out="$NET_TMP/ol_metrics.prom" \
-  > "$NET_TMP/ol_server.log" &
-OL_SRV=$!
-for _ in $(seq 1 100); do
-  [ -s "$NET_TMP/ol_port" ] && break
-  sleep 0.1
-done
-[ -s "$NET_TMP/ol_port" ] || { echo "overload dvs-server never listened"; exit 1; }
-OL_PORT="$(cat "$NET_TMP/ol_port")"
+echo "== net: overload probe (churn + slowloris vs healthy traffic, dvs-$FRONT) =="
+OVERLOAD="$NET_TMP/overload_$FRONT"
+start_front "$FRONT" "$OVERLOAD" "--threads=$JOBS --queue=4096" \
+  "--reactors=2 --slow-frame-timeout-ms=200 --shed-high=256"
+OL_PORT="$(cat "$OVERLOAD/port")"
 # Unloaded baseline: healthy traffic alone. Stringent deadlines keep
 # the healthy class out of the lax shed band.
 ./build/tools/dvs-loadgen --port="$OL_PORT" --connections=2 \
   --rate=1000 --requests=3000 --tightness=0.3 \
-  --benchmark_out="$NET_TMP/ol_base.json" > /dev/null
+  --benchmark_out="$OVERLOAD/ol_base.json" > /dev/null
 # The same healthy load inside a churn + slowloris storm.
 ./build/tools/dvs-loadgen --port="$OL_PORT" --connections=2 \
   --rate=1000 --requests=3000 --tightness=0.3 \
   --churn=2 --slowloris=4 --dribble-interval-ms=100 \
-  --benchmark_out="$NET_TMP/ol_load.json" > /dev/null
-kill -TERM "$OL_SRV"
-wait "$OL_SRV"
+  --benchmark_out="$OVERLOAD/ol_load.json" > /dev/null
+stop_front
 # The attacks drew structured Rejects...
 awk -F'"attack_rejects":' '{split($2,a,"}"); if (a[1] + 0 < 1) {
   print "slowloris clients were never rejected"; exit 1 } }' \
-  "$NET_TMP/ol_load.json"
+  "$OVERLOAD/ol_load.json"
 # ...the sheds are visible in the metrics snapshot...
 awk '/^cdvs_net_sheds_total\{/ { total += $NF }
   END { if (total + 0 < 1) {
     print "cdvs_net_sheds_total recorded no sheds"; exit 1 } }' \
-  "$NET_TMP/ol_metrics.prom"
+  "$OVERLOAD/metrics.prom"
 # ...and healthy-connection p99 stayed within 2x of the unloaded
 # baseline (with an absolute 20 ms guard against micro-baseline noise).
 BASE_P99="$(awk -F'"p99":' '{split($2,a,","); printf "%s", a[1]}' \
-  "$NET_TMP/ol_base.json")"
+  "$OVERLOAD/ol_base.json")"
 LOAD_P99="$(awk -F'"p99":' '{split($2,a,","); printf "%s", a[1]}' \
-  "$NET_TMP/ol_load.json")"
+  "$OVERLOAD/ol_load.json")"
 awk -v b="$BASE_P99" -v l="$LOAD_P99" 'BEGIN {
   lim = 2.0 * b; if (lim < 0.020) lim = 0.020;
   if (l + 0 > lim) {
     printf "healthy p99 %.6fs under attack vs %.6fs unloaded (limit %.6fs)\n",
            l, b, lim;
     exit 1 } }'
+done
 
 # The wire serves bit-for-bit what dvsd serves: solve the same distinct
 # jobs through the CLI and diff the schedule files.
@@ -322,7 +359,7 @@ diff -r "$NET_TMP/netsched" "$NET_TMP/dsched" \
 
 # Every canonical net metric family made it into the snapshot.
 ./build/tools/dvs-stat --check --names=scripts/metric_names_net.txt \
-  "$NET_TMP/net_metrics.prom"
+  "$NET_TMP/probe_server/metrics.prom"
 
 echo
 echo "== cluster: TSan cluster tests + kill-a-backend failover drill =="

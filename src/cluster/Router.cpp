@@ -7,16 +7,19 @@
 #include "cluster/Router.h"
 
 #include "cluster/Key.h"
+#include "cluster/Ring.h"
 #include "obs/Trace.h"
 #include "service/JobIO.h"
 #include "service/JsonLite.h"
 #include "support/Clock.h"
+#include "support/RingBuffer.h"
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
-#include <cstdio>
-#include <cstring>
+#include <deque>
+#include <map>
+#include <memory>
+#include <mutex>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -30,10 +33,6 @@ using net::EvErr;
 using net::EvHup;
 using net::EvIn;
 using net::EvOut;
-
-Router::Router(RouterOptions O)
-    : Opts(std::move(O)), Ring(Opts.VirtualNodes),
-      Flight(Opts.FlightCapacity) {}
 
 namespace {
 
@@ -68,175 +67,246 @@ std::string flightRecordJson(const FlightRecord &R) {
 
 } // namespace
 
-Router::~Router() { stop(); }
+//===----------------------------------------------------------------------===//
+// The upstream pool: one reactor's links to every backend
+//===----------------------------------------------------------------------===//
 
-Router::Backend *Router::backendByName(const std::string &Name) {
+class Router::UpstreamPool final : public net::RequestHandler {
+public:
+  UpstreamPool(Router &Owner, net::ReactorContext &Ctx);
+
+  void start(uint64_t NowNs) override;
+  void stop() override;
+  void event(const net::PollEvent &E, uint64_t NowNs) override;
+  void request(const net::RequestRef &Ref, net::Frame &F, JobRequest &Req,
+               uint64_t NowNs) override;
+  std::string statsData() override { return Owner.statsData(); }
+
+  // Snapshots; any thread.
+  void addStats(UpstreamStats &S) const;
+  /// Adds 1 to \p OnRing[name] for every backend on this pool's ring.
+  void countOnRing(std::map<std::string, size_t> &OnRing) const;
+  void appendFlights(std::vector<FlightRecord> &Out) const;
+
+private:
+  /// One proxied request, owned by the backend link carrying it.
+  struct PendingRequest {
+    net::RequestRef Ref;
+    /// Request JSON, kept so a failover can resend it.
+    std::string Payload;
+    /// The client's request frame kind (Request or GraphRequest),
+    /// re-emitted verbatim on every upstream send and failover.
+    net::FrameType Kind = net::FrameType::Request;
+    Fingerprint128 Key;
+    int RetriesLeft = 0;
+    /// Backends this request was already sent to; a retry skips them.
+    std::vector<std::string> Tried;
+    uint64_t TimerId = 0; ///< upstream-timeout wheel id, 0 = none
+    uint64_t StartNs = 0;
+    /// Trace context from the client's Request frame, re-emitted (with
+    /// the router's route span as parent) on every upstream send.
+    net::TraceContext Trace;
+    bool HasTrace = false;
+    /// The router's own span id for this request ("route"), allocated
+    /// at admission so upstream sends can name it as parent before the
+    /// span's completion event is recorded at answer time.
+    uint64_t RouteSpanId = 0;
+    uint64_t HopStartNs = 0; ///< when the current upstream send left
+    /// Completed hops: (backend, seconds from send to answer/failure).
+    std::vector<std::pair<std::string, double>> Hops;
+  };
+
+  struct Backend {
+    Address Addr;
+    std::string Name; ///< Addr.name(), the ring member string
+    enum class Link { Idle, Connecting, Up } Conn = Link::Idle;
+    bool Healthy = true; ///< on the ring?
+    int Failures = 0;    ///< consecutive transport failures
+    int Fd = -1;
+    net::FrameParser Parser;
+    std::deque<std::string> WriteQ;
+    size_t WriteOff = 0;
+    unsigned Subscribed = 0;
+    uint64_t NextCorr = 1;
+    /// Upstream correlation id -> the proxied request it carries.
+    std::map<uint64_t, PendingRequest> InFlight;
+    uint64_t PingCorr = 0;     ///< outstanding health probe, 0 = none
+    uint64_t ConnectTimer = 0; ///< wheel id, 0 = none
+
+    obs::Counter *RequestsCtr = nullptr;
+    obs::Gauge *UpGauge = nullptr;
+    obs::Histogram *LatencyHist = nullptr;
+
+    explicit Backend(size_t MaxPayload) : Parser(MaxPayload) {}
+  };
+
+  Backend *backendByName(const std::string &Name);
+  void startConnect(Backend &B, uint64_t NowNs);
+  void onBackendConnected(Backend &B);
+  void processBackendFrames(Backend &B, uint64_t NowNs);
+  void deliver(Backend &B, net::Frame &F, uint64_t NowNs);
+  void flushBackend(Backend &B);
+  void updateBackendSubscription(Backend &B);
+  void sendPing(Backend &B);
+  void sendToBackend(Backend &B, PendingRequest P, uint64_t NowNs);
+  /// Closes the link (if any), cancels its timers, and returns the
+  /// requests that were riding it.
+  std::vector<PendingRequest> closeBackendLink(Backend &B);
+  /// One consecutive transport failure: close the link, maybe evict,
+  /// fail over whatever was in flight.
+  void transportFailure(Backend &B, uint64_t NowNs);
+  void markDown(Backend &B);
+  /// A completed probe: failures reset, evicted backends rejoin.
+  void recover(Backend &B);
+  void retryPending(PendingRequest P, uint64_t NowNs);
+  /// Retires \p P, whose client no longer waits, as an orphan.
+  void dropOrphan(const PendingRequest &P, uint64_t NowNs);
+  /// Answers the client with a router-originated Reject (routing
+  /// failure, exhausted budget).
+  void rejectPending(PendingRequest &P, const std::string &Code,
+                     const std::string &Reason);
+  /// Retires \p P into the flight recorder and, when it was slow or
+  /// failed and the slow log is on, dumps it as a JSON line. Also emits
+  /// the request's "route" span when it carried a trace context.
+  void recordFlight(const PendingRequest &P, const std::string &Verdict,
+                    uint64_t NowNs);
+  void healthTick(uint64_t NowNs);
+  void armHealthTimer(uint64_t NowNs);
+  /// Applies \p Fn to the counters under the snapshot lock.
+  template <typename FnT> void count(FnT Fn) {
+    std::lock_guard<std::mutex> Lock(StatsMu);
+    Fn(Counters);
+  }
+
+  Router &Owner;
+  const RouterOptions &Opts;
+  net::ReactorContext &Ctx;
+
+  // Reactor-thread-only state.
+  std::vector<std::unique_ptr<Backend>> Backends;
+  std::map<int, Backend *> BackendByFd;
+  HashRing Ring;
+  obs::Gauge *BackendsGauge = nullptr;
+
+  // Written by the reactor thread, snapshotted by stats(), scrapes and
+  // flightRecords().
+  mutable std::mutex StatsMu;
+  UpstreamStats Counters;                 ///< guarded by StatsMu
+  std::map<std::string, bool> HealthView; ///< guarded by StatsMu
+  mutable std::mutex FlightMu;
+  RingBuffer<FlightRecord> Flight; ///< guarded by FlightMu
+};
+
+Router::UpstreamPool::UpstreamPool(Router &O, net::ReactorContext &C)
+    : Owner(O), Opts(O.Opts), Ctx(C), Ring(O.Opts.VirtualNodes),
+      Flight(O.Opts.FlightCapacity) {
+  std::string Reactor = std::to_string(Ctx.index());
+  for (const Address &A : Owner.Addrs) {
+    auto B = std::make_unique<Backend>(Opts.MaxFrameBytes);
+    B->Addr = A;
+    B->Name = A.name();
+    B->RequestsCtr = &obs::metrics().counter(
+        "cdvs_cluster_requests_total",
+        "requests proxied to each backend, retries included",
+        {{"backend", B->Name}});
+    B->UpGauge = &obs::metrics().gauge(
+        "cdvs_cluster_backend_up",
+        "1 while the backend is on the reactor's ring, 0 while evicted",
+        {{"backend", B->Name}, {"reactor", Reactor}});
+    B->UpGauge->set(1);
+    B->LatencyHist = &obs::metrics().histogram(
+        "cdvs_cluster_upstream_latency_seconds",
+        "router-observed time from proxied send to backend answer",
+        obs::latencyBucketsSeconds(), {{"backend", B->Name}});
+    Ring.add(B->Name);
+    HealthView[B->Name] = true;
+    Backends.push_back(std::move(B));
+  }
+  BackendsGauge = &obs::metrics().gauge(
+      "cdvs_cluster_backends", "backends currently on the reactor's ring",
+      {{"reactor", Reactor}});
+  BackendsGauge->set(static_cast<double>(Ring.size()));
+}
+
+void Router::UpstreamPool::start(uint64_t NowNs) {
+  for (auto &B : Backends)
+    startConnect(*B, NowNs);
+  armHealthTimer(NowNs);
+}
+
+void Router::UpstreamPool::stop() {
+  for (auto &B : Backends)
+    closeBackendLink(*B);
+}
+
+void Router::UpstreamPool::addStats(UpstreamStats &S) const {
+  std::lock_guard<std::mutex> Lock(StatsMu);
+  const UpstreamStats &C = Counters;
+  S.RequestsRouted += C.RequestsRouted;
+  S.ResponsesRelayed += C.ResponsesRelayed;
+  S.RejectsRelayed += C.RejectsRelayed;
+  S.Retries += C.Retries;
+  S.BackendEvictions += C.BackendEvictions;
+  S.BackendReinstatements += C.BackendReinstatements;
+  S.UpstreamTimeouts += C.UpstreamTimeouts;
+  S.OrphanResponses += C.OrphanResponses;
+}
+
+void Router::UpstreamPool::countOnRing(
+    std::map<std::string, size_t> &OnRing) const {
+  std::lock_guard<std::mutex> Lock(StatsMu);
+  for (const auto &[Name, Up] : HealthView)
+    OnRing[Name] += Up ? 1 : 0;
+}
+
+void Router::UpstreamPool::appendFlights(
+    std::vector<FlightRecord> &Out) const {
+  std::lock_guard<std::mutex> Lock(FlightMu);
+  Flight.forEach([&Out](const FlightRecord &R) { Out.push_back(R); });
+}
+
+Router::UpstreamPool::Backend *
+Router::UpstreamPool::backendByName(const std::string &Name) {
   for (auto &B : Backends)
     if (B->Name == Name)
       return B.get();
   return nullptr;
 }
 
-ErrorOr<bool> Router::start() {
-  if (Started)
-    return makeError("router already started");
-  if (Opts.Backends.empty())
-    return makeError("router needs at least one backend");
-  if (!Wakeup.valid())
-    return makeError("wakeup fd unavailable");
-
-  for (const std::string &Text : Opts.Backends) {
-    ErrorOr<Address> A = parseAddress(Text);
-    if (!A)
-      return makeError(A.message());
-    const std::string Name = A->name();
-    if (backendByName(Name))
-      return makeError("duplicate backend '" + Name + "'");
-    auto B = std::make_unique<Backend>(Opts.MaxFrameBytes);
-    B->Addr = *A;
-    B->Name = Name;
-    B->RequestsCtr = &obs::metrics().counter(
-        "cdvs_cluster_requests_total",
-        "requests proxied to each backend, retries included",
-        {{"backend", Name}});
-    B->UpGauge = &obs::metrics().gauge(
-        "cdvs_cluster_backend_up",
-        "1 while the backend is on the ring, 0 while evicted",
-        {{"backend", Name}});
-    B->UpGauge->set(1);
-    B->LatencyHist = &obs::metrics().histogram(
-        "cdvs_cluster_upstream_latency_seconds",
-        "router-observed time from proxied send to backend answer",
-        obs::latencyBucketsSeconds(), {{"backend", Name}});
-    Ring.add(Name);
-    HealthView[Name] = true;
-    Backends.push_back(std::move(B));
-  }
-
-  BackendsGauge = &obs::metrics().gauge(
-      "cdvs_cluster_backends", "backends currently on the ring");
-  BackendsGauge->set(static_cast<double>(Ring.size()));
-  ClientConnsGauge = &obs::metrics().gauge(
-      "cdvs_cluster_client_connections",
-      "client connections open on the router");
-  ClientConnsGauge->set(0);
-  RetriesCtr = &obs::metrics().counter(
-      "cdvs_cluster_retries_total",
-      "in-flight requests re-routed to the next ring owner");
-  EvictionsCtr = &obs::metrics().counter(
-      "cdvs_cluster_backend_evictions_total",
-      "backends evicted from the ring after consecutive transport "
-      "failures");
-  ReinstatementsCtr = &obs::metrics().counter(
-      "cdvs_cluster_backend_reinstatements_total",
-      "evicted backends that answered a probe and rejoined the ring");
-  RejectsCtr = &obs::metrics().counter(
-      "cdvs_cluster_rejects_total",
-      "router-originated rejects (bad request, no backends, exhausted "
-      "retry budget)");
-  SlowCtr = &obs::metrics().counter(
-      "cdvs_cluster_slow_requests_total",
-      "requests the flight recorder saw finish over the slow-log "
-      "threshold, or fail");
-  ScrapesCtr = &obs::metrics().counter(
-      "cdvs_stats_scrapes_total",
-      "StatsFetch scrapes answered over the wire.");
-  // Pre-registered so the family exists (at zero) in every scrape even
-  // before the trace ring first overwrites.
-  obs::metrics().counter(
-      "cdvs_trace_dropped_total",
-      "Trace events lost to ring-buffer overwrite since process start.");
-
-  if (Opts.SlowLogMs > 0) {
-    if (Opts.SlowLogPath.empty() || Opts.SlowLogPath == "-") {
-      SlowLog = stderr;
-    } else {
-      SlowLog = std::fopen(Opts.SlowLogPath.c_str(), "a");
-      if (!SlowLog)
-        return makeError("cannot open slow log '" + Opts.SlowLogPath +
-                         "'");
-      SlowLogOwned = true;
-    }
-  }
-
-  ErrorOr<int> L = net::listenTcp(Opts.BindAddress, Opts.Port,
-                                  Opts.Backlog);
-  if (!L)
-    return makeError(L.message());
-  ListenFd = *L;
-  ErrorOr<uint16_t> P = net::localPort(ListenFd);
-  if (!P) {
-    ::close(ListenFd);
-    ListenFd = -1;
-    return makeError(P.message());
-  }
-  BoundPort = *P;
-
-  Io = net::Poller::create(Opts.ForcePoll);
-  IoBackend = Io->backendName();
-  Io->add(Wakeup.fd(), EvIn);
-  Io->add(ListenFd, EvIn);
-
-  StopRequested.store(false, std::memory_order_release);
-  DrainRequested.store(false, std::memory_order_release);
-  Started = true;
-  LoopThread = std::thread([this] { loop(); });
-  return true;
-}
-
-void Router::beginDrain() {
-  DrainRequested.store(true, std::memory_order_release);
-  Wakeup.notify();
-}
-
-bool Router::waitDrained(double TimeoutSeconds) {
-  std::unique_lock<std::mutex> Lock(StateMu);
-  if (TimeoutSeconds <= 0)
-    return Drained;
-  return DrainedCv.wait_for(Lock,
-                            std::chrono::duration<double>(TimeoutSeconds),
-                            [this] { return Drained; });
-}
-
-void Router::stop() {
-  if (!Started)
+void Router::UpstreamPool::request(const net::RequestRef &Ref,
+                                   net::Frame &F, JobRequest &Req,
+                                   uint64_t NowNs) {
+  if (Ring.empty()) {
+    Owner.RejectsCtr->inc();
+    Ctx.reject(Ref, "no_backends", "no healthy backends on the ring");
     return;
-  StopRequested.store(true, std::memory_order_release);
-  Wakeup.notify();
-  if (LoopThread.joinable())
-    LoopThread.join();
-  Started = false;
-  if (SlowLogOwned && SlowLog)
-    std::fclose(SlowLog);
-  SlowLog = nullptr;
-  SlowLogOwned = false;
+  }
+  PendingRequest P;
+  P.Ref = Ref;
+  P.Payload = std::move(F.Payload);
+  P.Kind = F.Type;
+  P.Key = requestKey(Req);
+  P.RetriesLeft = Opts.RetryBudget;
+  P.StartNs = NowNs;
+  if (F.HasTrace && F.Trace.valid()) {
+    P.Trace = F.Trace;
+    P.HasTrace = true;
+    // Allocated now so upstream sends can name it as their parent; the
+    // span's completion event is recorded when the request retires.
+    P.RouteSpanId = obs::nextSpanId();
+  }
+  const std::string *Name = Ring.ownerOf(P.Key);
+  Backend *B = Name ? backendByName(*Name) : nullptr;
+  if (!B) {
+    rejectPending(P, "no_backends", "ring lookup failed");
+    return;
+  }
+  sendToBackend(*B, std::move(P), NowNs);
 }
 
-RouterStats Router::stats() const {
-  std::lock_guard<std::mutex> Lock(StatsMu);
-  RouterStats S = Counters;
-  S.HealthyBackends = 0;
-  for (const auto &KV : HealthView)
-    if (KV.second)
-      ++S.HealthyBackends;
-  return S;
-}
-
-std::vector<std::pair<std::string, bool>> Router::backendHealth() const {
-  std::lock_guard<std::mutex> Lock(StatsMu);
-  return {HealthView.begin(), HealthView.end()};
-}
-
-std::vector<FlightRecord> Router::flightRecords() const {
-  std::lock_guard<std::mutex> Lock(FlightMu);
-  std::vector<FlightRecord> Out;
-  Out.reserve(Flight.size());
-  Flight.forEach([&Out](const FlightRecord &R) { Out.push_back(R); });
-  return Out;
-}
-
-void Router::recordFlight(const PendingRequest &P,
-                          const std::string &Verdict, uint64_t NowNs) {
+void Router::UpstreamPool::recordFlight(const PendingRequest &P,
+                                        const std::string &Verdict,
+                                        uint64_t NowNs) {
   double Total = static_cast<double>(NowNs - P.StartNs) * 1e-9;
   if (P.HasTrace && obs::trace().enabled()) {
     // The router's span for this request: admission to answer, parented
@@ -265,8 +335,8 @@ void Router::recordFlight(const PendingRequest &P,
   if (P.HasTrace)
     R.TraceId = hex128(P.Trace.TraceHi, P.Trace.TraceLo);
   R.Key = P.Key.toHex();
-  R.ClientId = P.ClientId;
-  R.ClientCorr = P.ClientCorr;
+  R.ClientId = P.Ref.ConnId;
+  R.ClientCorr = P.Ref.Correlation;
   R.Owner = P.Tried.empty() ? std::string() : P.Tried.front();
   R.Retries = P.Tried.empty()
                   ? 0
@@ -278,11 +348,13 @@ void Router::recordFlight(const PendingRequest &P,
               (Verdict != "response" ||
                Total * 1e3 >= static_cast<double>(Opts.SlowLogMs));
   if (Slow) {
-    SlowCtr->inc();
-    if (SlowLog) {
-      std::string Line = flightRecordJson(R);
-      std::fprintf(SlowLog, "%s\n", Line.c_str());
-      std::fflush(SlowLog);
+    Owner.SlowCtr->inc();
+    if (Owner.SlowLog) {
+      // One fprintf per line: stdio's stream lock keeps lines from
+      // several reactors whole.
+      std::string Line = flightRecordJson(R) + "\n";
+      std::fputs(Line.c_str(), Owner.SlowLog);
+      std::fflush(Owner.SlowLog);
     }
   }
   std::lock_guard<std::mutex> Lock(FlightMu);
@@ -290,442 +362,15 @@ void Router::recordFlight(const PendingRequest &P,
 }
 
 //===----------------------------------------------------------------------===//
-// The loop
+// Backend links
 //===----------------------------------------------------------------------===//
 
-void Router::loop() {
-  uint64_t Now = monotonicNanos();
-  for (auto &B : Backends)
-    startConnect(*B, Now);
-  armHealthTimer(Now);
-
-  std::vector<net::PollEvent> Events;
-  while (!StopRequested.load(std::memory_order_acquire)) {
-    if (DrainRequested.load(std::memory_order_acquire) && !DrainStarted)
-      startDrainOnLoop();
-    Now = monotonicNanos();
-    Wheel.advance(Now);
-    int N = Io->wait(Events, Wheel.pollTimeoutMs(Now));
-    if (N < 0)
-      break;
-    Now = monotonicNanos();
-    Tombstones.clear();
-    for (const net::PollEvent &E : Events) {
-      if (StopRequested.load(std::memory_order_acquire))
-        break;
-      if (Tombstones.count(E.Fd))
-        continue;
-      if (E.Fd == Wakeup.fd()) {
-        Wakeup.drain();
-        continue;
-      }
-      if (E.Fd == ListenFd) {
-        if (E.Events & (EvIn | EvErr))
-          acceptReady(Now);
-        continue;
-      }
-      auto BIt = BackendByFd.find(E.Fd);
-      if (BIt != BackendByFd.end()) {
-        backendEvent(*BIt->second, E.Events, Now);
-        continue;
-      }
-      auto CIt = ClientByFd.find(E.Fd);
-      if (CIt != ClientByFd.end())
-        clientEvent(CIt->second, E.Events, Now);
-    }
-  }
-  teardown();
-}
-
-void Router::teardown() {
-  std::vector<uint64_t> Ids;
-  Ids.reserve(ClientsById.size());
-  for (const auto &KV : ClientsById)
-    Ids.push_back(KV.first);
-  for (uint64_t Id : Ids)
-    closeClient(Id);
-  for (auto &B : Backends)
-    closeBackendLink(*B);
-  if (ListenFd >= 0) {
-    Io->remove(ListenFd);
-    ::close(ListenFd);
-    ListenFd = -1;
-  }
-  Io->remove(Wakeup.fd());
-  {
-    std::lock_guard<std::mutex> Lock(StateMu);
-    Drained = true;
-  }
-  DrainedCv.notify_all();
-}
-
-void Router::startDrainOnLoop() {
-  DrainStarted = true;
-  if (ListenFd >= 0) {
-    Io->remove(ListenFd);
-    ::close(ListenFd);
-    ListenFd = -1;
-  }
-  std::vector<uint64_t> Ids;
-  Ids.reserve(ClientsById.size());
-  for (const auto &KV : ClientsById)
-    Ids.push_back(KV.first);
-  for (uint64_t Id : Ids) {
-    auto It = ClientsById.find(Id);
-    if (It == ClientsById.end())
-      continue;
-    ClientConn &C = *It->second;
-    updateClientSubscription(C);
-    maybeFinishClient(C);
-  }
-  finishDrainIfIdle();
-}
-
-void Router::finishDrainIfIdle() {
-  if (!DrainStarted || !ClientsById.empty())
-    return;
-  {
-    std::lock_guard<std::mutex> Lock(StateMu);
-    Drained = true;
-  }
-  DrainedCv.notify_all();
-}
-
-//===----------------------------------------------------------------------===//
-// Client side
-//===----------------------------------------------------------------------===//
-
-void Router::acceptReady(uint64_t NowNs) {
-  (void)NowNs;
-  for (;;) {
-    int Fd = ::accept(ListenFd, nullptr, nullptr);
-    if (Fd < 0) {
-      if (errno == EINTR)
-        continue;
-      break;
-    }
-    if (ClientsById.size() >= Opts.MaxConnections) {
-      // Best-effort structured refusal; the socket is still blocking so
-      // a tiny frame either goes out now or not at all.
-      std::string R = net::encodeFrame(
-          net::FrameType::Reject, 0,
-          net::encodeReject("busy", "router connection limit reached"));
-      ::send(Fd, R.data(), R.size(), MSG_NOSIGNAL);
-      ::close(Fd);
-      std::lock_guard<std::mutex> Lock(StatsMu);
-      ++Counters.ConnectionsRejected;
-      continue;
-    }
-    net::setNonBlocking(Fd);
-    int One = 1;
-    ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
-    uint64_t Id = NextClientId++;
-    auto C = std::make_unique<ClientConn>(Opts.MaxFrameBytes);
-    C->Fd = Fd;
-    C->Id = Id;
-    if (!Io->add(Fd, EvIn)) {
-      ::close(Fd);
-      std::lock_guard<std::mutex> Lock(StatsMu);
-      ++Counters.ConnectionsRejected;
-      continue;
-    }
-    C->Subscribed = EvIn;
-    ClientByFd[Fd] = Id;
-    ClientsById[Id] = std::move(C);
-    ClientConnsGauge->set(static_cast<double>(ClientsById.size()));
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.ConnectionsAccepted;
-    Counters.OpenConnections = ClientsById.size();
-  }
-}
-
-void Router::clientEvent(uint64_t Id, unsigned Events, uint64_t NowNs) {
-  auto It = ClientsById.find(Id);
-  if (It == ClientsById.end())
-    return;
-  ClientConn &C = *It->second;
-  if (Events & EvErr) {
-    closeClient(Id);
-    return;
-  }
-  if (Events & EvOut) {
-    flushClient(C);
-    if (!ClientsById.count(Id))
-      return;
-  }
-  if (!(Events & (EvIn | EvHup)))
-    return;
-  char Buf[64 * 1024];
-  for (;;) {
-    ssize_t N = ::recv(C.Fd, Buf, sizeof(Buf), 0);
-    if (N > 0) {
-      C.Parser.feed(Buf, static_cast<size_t>(N));
-      processClientFrames(C, NowNs);
-      if (!ClientsById.count(Id))
-        return;
-      continue;
-    }
-    if (N == 0) {
-      C.SawEof = true;
-      if (C.Parser.buffered() > 0) {
-        // Hung up mid-frame: nothing more can be trusted or answered.
-        {
-          std::lock_guard<std::mutex> Lock(StatsMu);
-          ++Counters.ProtocolErrors;
-        }
-        closeClient(Id);
-        return;
-      }
-      updateClientSubscription(C);
-      maybeFinishClient(C);
-      return;
-    }
-    if (errno == EINTR)
-      continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK)
-      return;
-    closeClient(Id);
-    return;
-  }
-}
-
-void Router::processClientFrames(ClientConn &C, uint64_t NowNs) {
-  net::Frame F;
-  for (;;) {
-    if (C.CloseAfterFlush)
-      return;
-    net::FrameParser::Next R = C.Parser.next(F);
-    if (R == net::FrameParser::Next::NeedMore)
-      return;
-    if (R == net::FrameParser::Next::Error) {
-      {
-        std::lock_guard<std::mutex> Lock(StatsMu);
-        ++Counters.ProtocolErrors;
-      }
-      sendClientReject(C, 0, net::wireStatusName(C.Parser.error()),
-                       "framing error; closing");
-      C.CloseAfterFlush = true;
-      updateClientSubscription(C);
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> Lock(StatsMu);
-      ++Counters.FramesIn;
-    }
-    switch (F.Type) {
-    case net::FrameType::Request:
-    case net::FrameType::GraphRequest:
-      routeRequest(C, F, NowNs);
-      break;
-    case net::FrameType::Ping:
-      // The monotonic-clock stamp lets scrapers align per-process
-      // clocks from the RTT midpoint; old clients ignore Pong payloads.
-      enqueueClientFrame(C, net::FrameType::Pong, F.Correlation,
-                         "{\"now_ns\":" +
-                             std::to_string(monotonicNanos()) + "}");
-      break;
-    case net::FrameType::StatsFetch:
-      handleStatsFetch(C, F);
-      break;
-    default:
-      {
-        std::lock_guard<std::mutex> Lock(StatsMu);
-        ++Counters.ProtocolErrors;
-      }
-      sendClientReject(C, F.Correlation, "bad_type",
-                       std::string("unexpected frame type ") +
-                           net::frameTypeName(F.Type));
-      C.CloseAfterFlush = true;
-      updateClientSubscription(C);
-      return;
-    }
-  }
-}
-
-void Router::routeRequest(ClientConn &C, net::Frame &F, uint64_t NowNs) {
-  if (!C.Pending.insert(F.Correlation).second) {
-    {
-      std::lock_guard<std::mutex> Lock(StatsMu);
-      ++Counters.ProtocolErrors;
-    }
-    sendClientReject(C, F.Correlation, "bad_request",
-                     "correlation id already in flight");
-    return;
-  }
-  ErrorOr<JobRequest> Req = jobRequestFromJsonText(F.Payload);
-  if (!Req) {
-    C.Pending.erase(F.Correlation);
-    sendClientReject(C, F.Correlation, "bad_request", Req.message());
-    return;
-  }
-  if (Ring.empty()) {
-    C.Pending.erase(F.Correlation);
-    sendClientReject(C, F.Correlation, "no_backends",
-                     "no healthy backends on the ring");
-    return;
-  }
-  PendingRequest P;
-  P.ClientId = C.Id;
-  P.ClientCorr = F.Correlation;
-  P.Payload = std::move(F.Payload);
-  P.Kind = F.Type;
-  P.Key = requestKey(*Req);
-  P.RetriesLeft = Opts.RetryBudget;
-  P.StartNs = NowNs;
-  if (F.HasTrace && F.Trace.valid()) {
-    P.Trace = F.Trace;
-    P.HasTrace = true;
-    // Allocated now so upstream sends can name it as their parent; the
-    // span's completion event is recorded when the request retires.
-    P.RouteSpanId = obs::nextSpanId();
-  }
-  ++C.InFlight;
-  const std::string *Owner = Ring.ownerOf(P.Key);
-  Backend *B = Owner ? backendByName(*Owner) : nullptr;
-  if (!B) {
-    rejectPending(P, "no_backends", "ring lookup failed");
-    return;
-  }
-  sendToBackend(*B, std::move(P), NowNs);
-}
-
-void Router::handleStatsFetch(ClientConn &C, net::Frame &F) {
-  // Served inline on the loop like every other frame: the renders take
-  // the registry/ring locks briefly, and scrapes are rare (human or CI
-  // cadence) next to request traffic.
-  ScrapesCtr->inc();
-  std::string Flights = "[";
-  {
-    std::lock_guard<std::mutex> Lock(FlightMu);
-    bool First = true;
-    Flight.forEach([&Flights, &First](const FlightRecord &R) {
-      if (!First)
-        Flights += ',';
-      First = false;
-      Flights += flightRecordJson(R);
-    });
-  }
-  Flights += ']';
-  std::string Payload =
-      "{\"role\":\"router\",\"pid\":" +
-      std::to_string(static_cast<long>(getpid())) + ",\"now_ns\":" +
-      std::to_string(monotonicNanos()) + ",\"trace_dropped\":" +
-      std::to_string(obs::trace().dropped()) + ",\"flight\":" +
-      Flights + ",\"metrics\":\"" +
-      jsonEscape(obs::metrics().renderPrometheus()) + "\",\"trace\":" +
-      obs::trace().renderChromeTrace(static_cast<int>(getpid()),
-                                     "dvs-router") +
-      "}";
-  enqueueClientFrame(C, net::FrameType::StatsData, F.Correlation,
-                     Payload);
-}
-
-void Router::enqueueClientFrame(ClientConn &C, net::FrameType Type,
-                                uint64_t Correlation,
-                                const std::string &Payload) {
-  C.WriteQ.push_back(net::encodeFrame(Type, Correlation, Payload));
-  {
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.FramesOut;
-  }
-  updateClientSubscription(C);
-}
-
-void Router::sendClientReject(ClientConn &C, uint64_t Correlation,
-                              const std::string &Code,
-                              const std::string &Reason) {
-  {
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.RejectsSent;
-  }
-  RejectsCtr->inc();
-  enqueueClientFrame(C, net::FrameType::Reject, Correlation,
-                     net::encodeReject(Code, Reason));
-}
-
-void Router::flushClient(ClientConn &C) {
-  uint64_t Id = C.Id;
-  while (!C.WriteQ.empty()) {
-    const std::string &Front = C.WriteQ.front();
-    ssize_t N = ::send(C.Fd, Front.data() + C.WriteOff,
-                       Front.size() - C.WriteOff, MSG_NOSIGNAL);
-    if (N > 0) {
-      C.WriteOff += static_cast<size_t>(N);
-      if (C.WriteOff == Front.size()) {
-        C.WriteQ.pop_front();
-        C.WriteOff = 0;
-      }
-      continue;
-    }
-    if (N < 0 && errno == EINTR)
-      continue;
-    if (N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-      break;
-    closeClient(Id);
-    return;
-  }
-  if (C.WriteQ.empty()) {
-    bool Done = C.CloseAfterFlush ||
-                ((C.SawEof || DrainStarted) && C.InFlight == 0);
-    if (Done) {
-      closeClient(Id);
-      return;
-    }
-  }
-  updateClientSubscription(C);
-}
-
-void Router::updateClientSubscription(ClientConn &C) {
-  unsigned Want = 0;
-  if (!C.CloseAfterFlush && !C.SawEof && !DrainStarted)
-    Want |= EvIn;
-  if (!C.WriteQ.empty())
-    Want |= EvOut;
-  if (Want != C.Subscribed) {
-    Io->update(C.Fd, Want);
-    C.Subscribed = Want;
-  }
-}
-
-void Router::maybeFinishClient(ClientConn &C) {
-  if (!C.WriteQ.empty())
-    return;
-  if (C.CloseAfterFlush ||
-      ((C.SawEof || DrainStarted) && C.InFlight == 0))
-    closeClient(C.Id);
-}
-
-void Router::closeClient(uint64_t Id) {
-  auto It = ClientsById.find(Id);
-  if (It == ClientsById.end())
-    return;
-  ClientConn &C = *It->second;
-  Io->remove(C.Fd);
-  ClientByFd.erase(C.Fd);
-  Tombstones.insert(C.Fd);
-  ::close(C.Fd);
-  // Requests still riding backends are left in place; their answers
-  // will find no client and count as orphans, which is the truth.
-  ClientsById.erase(It);
-  ClientConnsGauge->set(static_cast<double>(ClientsById.size()));
-  {
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.ConnectionsClosed;
-    Counters.OpenConnections = ClientsById.size();
-  }
-  finishDrainIfIdle();
-}
-
-//===----------------------------------------------------------------------===//
-// Backend side
-//===----------------------------------------------------------------------===//
-
-void Router::startConnect(Backend &B, uint64_t NowNs) {
+void Router::UpstreamPool::startConnect(Backend &B, uint64_t NowNs) {
   if (B.Conn != Backend::Link::Idle)
     return;
   int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (Fd < 0) {
-    transportFailure(B, "socket() failed", NowNs);
+    transportFailure(B, NowNs);
     return;
   }
   net::setNonBlocking(Fd);
@@ -734,21 +379,21 @@ void Router::startConnect(Backend &B, uint64_t NowNs) {
   A.sin_port = htons(B.Addr.Port);
   if (::inet_pton(AF_INET, B.Addr.Host.c_str(), &A.sin_addr) != 1) {
     ::close(Fd);
-    transportFailure(B, "address not numeric IPv4", NowNs);
+    transportFailure(B, NowNs);
     return;
   }
   int Rc = ::connect(Fd, reinterpret_cast<sockaddr *>(&A), sizeof(A));
   if (Rc != 0 && errno != EINPROGRESS) {
     ::close(Fd);
-    transportFailure(B, "connect failed", NowNs);
+    transportFailure(B, NowNs);
     return;
   }
   B.Fd = Fd;
   B.Parser = net::FrameParser(Opts.MaxFrameBytes);
   BackendByFd[Fd] = &B;
   B.Conn = Backend::Link::Connecting;
-  if (!Io->add(Fd, EvOut)) {
-    transportFailure(B, "poller add failed", NowNs);
+  if (!Ctx.io().add(Fd, EvOut)) {
+    transportFailure(B, NowNs);
     return;
   }
   B.Subscribed = EvOut;
@@ -757,18 +402,18 @@ void Router::startConnect(Backend &B, uint64_t NowNs) {
     return;
   }
   Backend *BP = &B;
-  B.ConnectTimer = Wheel.schedule(
+  B.ConnectTimer = Ctx.wheel().schedule(
       NowNs, Opts.ConnectTimeoutMs * 1'000'000ull, [this, BP] {
         if (BP->Conn != Backend::Link::Connecting)
           return;
         BP->ConnectTimer = 0;
-        transportFailure(*BP, "connect timeout", monotonicNanos());
+        transportFailure(*BP, monotonicNanos());
       });
 }
 
-void Router::onBackendConnected(Backend &B) {
+void Router::UpstreamPool::onBackendConnected(Backend &B) {
   if (B.ConnectTimer) {
-    Wheel.cancel(B.ConnectTimer);
+    Ctx.wheel().cancel(B.ConnectTimer);
     B.ConnectTimer = 0;
   }
   int One = 1;
@@ -776,27 +421,31 @@ void Router::onBackendConnected(Backend &B) {
   B.Conn = Backend::Link::Up;
   // Probe ping: reinstatement is gated on an answered Pong, so a
   // process that accepts but cannot speak the protocol never rejoins.
+  B.Subscribed = 0; // force sendPing's update to re-register interest
+  sendPing(B);
+}
+
+void Router::UpstreamPool::sendPing(Backend &B) {
   B.PingCorr = B.NextCorr++;
   B.WriteQ.push_back(
       net::encodeFrame(net::FrameType::Ping, B.PingCorr, ""));
-  {
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.FramesOut;
-  }
-  B.Subscribed = 0; // force the update below to re-register interest
   updateBackendSubscription(B);
 }
 
-void Router::backendEvent(Backend &B, unsigned Events, uint64_t NowNs) {
+void Router::UpstreamPool::event(const net::PollEvent &E, uint64_t NowNs) {
+  auto It = BackendByFd.find(E.Fd);
+  if (It == BackendByFd.end())
+    return; // a descriptor retired earlier in this wave
+  Backend &B = *It->second;
   if (B.Conn == Backend::Link::Connecting) {
-    if (!(Events & (EvOut | EvErr | EvHup)))
+    if (!(E.Events & (EvOut | EvErr | EvHup)))
       return;
     int Err = 0;
     socklen_t Len = sizeof(Err);
     if (::getsockopt(B.Fd, SOL_SOCKET, SO_ERROR, &Err, &Len) != 0)
       Err = errno ? errno : EIO;
     if (Err != 0) {
-      transportFailure(B, std::strerror(Err), NowNs);
+      transportFailure(B, NowNs);
       return;
     }
     onBackendConnected(B);
@@ -804,16 +453,16 @@ void Router::backendEvent(Backend &B, unsigned Events, uint64_t NowNs) {
   }
   if (B.Conn != Backend::Link::Up)
     return;
-  if (Events & EvErr) {
-    transportFailure(B, "socket error", NowNs);
+  if (E.Events & EvErr) {
+    transportFailure(B, NowNs);
     return;
   }
-  if (Events & EvOut) {
+  if (E.Events & EvOut) {
     flushBackend(B);
     if (B.Conn != Backend::Link::Up)
       return;
   }
-  if (!(Events & (EvIn | EvHup)))
+  if (!(E.Events & (EvIn | EvHup)))
     return;
   char Buf[64 * 1024];
   for (;;) {
@@ -825,20 +474,18 @@ void Router::backendEvent(Backend &B, unsigned Events, uint64_t NowNs) {
         return;
       continue;
     }
-    if (N == 0) {
-      transportFailure(B, "backend closed the connection", NowNs);
-      return;
-    }
-    if (errno == EINTR)
+    if (N < 0 && errno == EINTR)
       continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK)
+    if (N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
       return;
-    transportFailure(B, "recv failed", NowNs);
+    // EOF or a hard error: the backend went away.
+    transportFailure(B, NowNs);
     return;
   }
 }
 
-void Router::processBackendFrames(Backend &B, uint64_t NowNs) {
+void Router::UpstreamPool::processBackendFrames(Backend &B,
+                                                uint64_t NowNs) {
   net::Frame F;
   for (;;) {
     if (B.Conn != Backend::Link::Up)
@@ -847,16 +494,8 @@ void Router::processBackendFrames(Backend &B, uint64_t NowNs) {
     if (R == net::FrameParser::Next::NeedMore)
       return;
     if (R == net::FrameParser::Next::Error) {
-      {
-        std::lock_guard<std::mutex> Lock(StatsMu);
-        ++Counters.ProtocolErrors;
-      }
-      transportFailure(B, "framing error from backend", NowNs);
+      transportFailure(B, NowNs);
       return;
-    }
-    {
-      std::lock_guard<std::mutex> Lock(StatsMu);
-      ++Counters.FramesIn;
     }
     switch (F.Type) {
     case net::FrameType::Pong:
@@ -870,42 +509,27 @@ void Router::processBackendFrames(Backend &B, uint64_t NowNs) {
     case net::FrameType::Reject:
       deliver(B, F, NowNs);
       break;
-    case net::FrameType::Ping:
-      B.WriteQ.push_back(
-          net::encodeFrame(net::FrameType::Pong, F.Correlation, ""));
-      {
-        std::lock_guard<std::mutex> Lock(StatsMu);
-        ++Counters.FramesOut;
-      }
-      updateBackendSubscription(B);
-      break;
     default:
-      {
-        std::lock_guard<std::mutex> Lock(StatsMu);
-        ++Counters.ProtocolErrors;
-      }
-      transportFailure(B,
-                       std::string("unexpected frame type ") +
-                           net::frameTypeName(F.Type),
-                       NowNs);
+      // A backend speaks only answers; anything else is a broken link.
+      transportFailure(B, NowNs);
       return;
     }
   }
 }
 
-void Router::deliver(Backend &B, net::Frame &F, uint64_t NowNs) {
+void Router::UpstreamPool::deliver(Backend &B, net::Frame &F,
+                                   uint64_t NowNs) {
   auto It = B.InFlight.find(F.Correlation);
   if (It == B.InFlight.end()) {
     // A late answer for a request that timed out upstream and was
-    // retried elsewhere, or whose client vanished: drop it.
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.OrphanResponses;
+    // retried elsewhere: drop it.
+    count([](UpstreamStats &S) { ++S.OrphanResponses; });
     return;
   }
   PendingRequest P = std::move(It->second);
   B.InFlight.erase(It);
   if (P.TimerId) {
-    Wheel.cancel(P.TimerId);
+    Ctx.wheel().cancel(P.TimerId);
     P.TimerId = 0;
   }
   // An answered request proves the transport works end to end.
@@ -916,44 +540,26 @@ void Router::deliver(Backend &B, net::Frame &F, uint64_t NowNs) {
                         static_cast<double>(NowNs - P.HopStartNs) *
                             1e-9);
 
-  auto CIt = ClientsById.find(P.ClientId);
-  if (CIt == ClientsById.end()) {
-    recordFlight(P, "orphan", NowNs);
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.OrphanResponses;
+  if (!Ctx.waiting(P.Ref)) {
+    dropOrphan(P, NowNs);
     return;
   }
-  ClientConn &C = *CIt->second;
-  if (C.Pending.erase(P.ClientCorr) == 0) {
-    recordFlight(P, "orphan", NowNs);
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.OrphanResponses;
-    return;
+  bool IsReject = F.Type == net::FrameType::Reject;
+  recordFlight(P, IsReject ? "reject" : "response", NowNs);
+  count([IsReject](UpstreamStats &S) {
+    ++(IsReject ? S.RejectsRelayed : S.ResponsesRelayed);
+  });
+  if (!IsReject && Opts.AnnotateBackend && !F.Payload.empty() &&
+      F.Payload.front() == '{') {
+    size_t Close = F.Payload.rfind('}');
+    if (Close != std::string::npos)
+      F.Payload.insert(Close,
+                       ",\"backend\":\"" + jsonEscape(B.Name) + "\"");
   }
-  --C.InFlight;
-  recordFlight(P, F.Type == net::FrameType::Reject ? "reject"
-                                                   : "response",
-               NowNs);
-  if (F.Type != net::FrameType::Reject) {
-    {
-      std::lock_guard<std::mutex> Lock(StatsMu);
-      ++Counters.ResponsesRelayed;
-    }
-    if (Opts.AnnotateBackend && !F.Payload.empty() &&
-        F.Payload.front() == '{') {
-      size_t Close = F.Payload.rfind('}');
-      if (Close != std::string::npos)
-        F.Payload.insert(Close, ",\"backend\":\"" +
-                                    jsonEscape(B.Name) + "\"");
-    }
-  } else {
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.RejectsRelayed;
-  }
-  enqueueClientFrame(C, F.Type, P.ClientCorr, F.Payload);
+  Ctx.answer(P.Ref, F.Type, F.Payload);
 }
 
-void Router::flushBackend(Backend &B) {
+void Router::UpstreamPool::flushBackend(Backend &B) {
   while (!B.WriteQ.empty()) {
     const std::string &Front = B.WriteQ.front();
     ssize_t N = ::send(B.Fd, Front.data() + B.WriteOff,
@@ -970,33 +576,30 @@ void Router::flushBackend(Backend &B) {
       continue;
     if (N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
       break;
-    transportFailure(B, "send failed", monotonicNanos());
+    transportFailure(B, monotonicNanos());
     return;
   }
   updateBackendSubscription(B);
 }
 
-void Router::updateBackendSubscription(Backend &B) {
+void Router::UpstreamPool::updateBackendSubscription(Backend &B) {
   if (B.Conn != Backend::Link::Up || B.Fd < 0)
     return;
   unsigned Want = EvIn;
   if (!B.WriteQ.empty())
     Want |= EvOut;
   if (Want != B.Subscribed) {
-    Io->update(B.Fd, Want);
+    Ctx.io().update(B.Fd, Want);
     B.Subscribed = Want;
   }
 }
 
-void Router::sendToBackend(Backend &B, PendingRequest P, uint64_t NowNs) {
+void Router::UpstreamPool::sendToBackend(Backend &B, PendingRequest P,
+                                         uint64_t NowNs) {
   P.Tried.push_back(B.Name);
   P.HopStartNs = NowNs;
   uint64_t Corr = B.NextCorr++;
-  {
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.RequestsRouted;
-    ++Counters.FramesOut;
-  }
+  count([](UpstreamStats &S) { ++S.RequestsRouted; });
   B.RequestsCtr->inc();
   // Re-emit the client's trace context upstream with the router's route
   // span as parent, so backend spans nest under the router's hop.
@@ -1006,7 +609,7 @@ void Router::sendToBackend(Backend &B, PendingRequest P, uint64_t NowNs) {
                                       P.HasTrace ? &Upstream : nullptr));
   if (Opts.UpstreamTimeoutMs > 0) {
     Backend *BP = &B;
-    P.TimerId = Wheel.schedule(
+    P.TimerId = Ctx.wheel().schedule(
         NowNs, Opts.UpstreamTimeoutMs * 1'000'000ull, [this, BP, Corr] {
           auto It = BP->InFlight.find(Corr);
           if (It == BP->InFlight.end())
@@ -1014,10 +617,7 @@ void Router::sendToBackend(Backend &B, PendingRequest P, uint64_t NowNs) {
           PendingRequest Timed = std::move(It->second);
           BP->InFlight.erase(It);
           Timed.TimerId = 0;
-          {
-            std::lock_guard<std::mutex> Lock(StatsMu);
-            ++Counters.UpstreamTimeouts;
-          }
+          count([](UpstreamStats &S) { ++S.UpstreamTimeouts; });
           retryPending(std::move(Timed), monotonicNanos());
         });
   }
@@ -1027,7 +627,7 @@ void Router::sendToBackend(Backend &B, PendingRequest P, uint64_t NowNs) {
     updateBackendSubscription(B);
     break;
   case Backend::Link::Connecting:
-    break; // queued; flushed by onBackendConnected
+    break; // queued; flushed once the connect completes
   case Backend::Link::Idle:
     // Last action on purpose: an immediate connect failure re-enters
     // transportFailure -> retryPending, which may consume P again.
@@ -1036,17 +636,17 @@ void Router::sendToBackend(Backend &B, PendingRequest P, uint64_t NowNs) {
   }
 }
 
-std::vector<Router::PendingRequest>
-Router::closeBackendLink(Backend &B) {
+std::vector<Router::UpstreamPool::PendingRequest>
+Router::UpstreamPool::closeBackendLink(Backend &B) {
   std::vector<PendingRequest> Orphans;
   if (B.ConnectTimer) {
-    Wheel.cancel(B.ConnectTimer);
+    Ctx.wheel().cancel(B.ConnectTimer);
     B.ConnectTimer = 0;
   }
   Orphans.reserve(B.InFlight.size());
   for (auto &KV : B.InFlight) {
     if (KV.second.TimerId) {
-      Wheel.cancel(KV.second.TimerId);
+      Ctx.wheel().cancel(KV.second.TimerId);
       KV.second.TimerId = 0;
     }
     Orphans.push_back(std::move(KV.second));
@@ -1056,10 +656,8 @@ Router::closeBackendLink(Backend &B) {
   B.WriteOff = 0;
   B.PingCorr = 0;
   if (B.Fd >= 0) {
-    Io->remove(B.Fd);
     BackendByFd.erase(B.Fd);
-    Tombstones.insert(B.Fd);
-    ::close(B.Fd);
+    Ctx.retire(B.Fd);
     B.Fd = -1;
   }
   B.Subscribed = 0;
@@ -1068,9 +666,7 @@ Router::closeBackendLink(Backend &B) {
   return Orphans;
 }
 
-void Router::transportFailure(Backend &B, const std::string &Reason,
-                              uint64_t NowNs) {
-  (void)Reason;
+void Router::UpstreamPool::transportFailure(Backend &B, uint64_t NowNs) {
   obs::traceInstant("cluster_backend_failure", "cluster", "failures",
                     static_cast<double>(B.Failures + 1));
   std::vector<PendingRequest> Orphans = closeBackendLink(B);
@@ -1081,43 +677,39 @@ void Router::transportFailure(Backend &B, const std::string &Reason,
     retryPending(std::move(P), NowNs);
 }
 
-void Router::markDown(Backend &B) {
+void Router::UpstreamPool::markDown(Backend &B) {
   B.Healthy = false;
   Ring.remove(B.Name);
   B.UpGauge->set(0);
-  EvictionsCtr->inc();
+  Owner.EvictionsCtr->inc();
   BackendsGauge->set(static_cast<double>(Ring.size()));
   std::lock_guard<std::mutex> Lock(StatsMu);
   ++Counters.BackendEvictions;
   HealthView[B.Name] = false;
 }
 
-void Router::recover(Backend &B) {
+void Router::UpstreamPool::recover(Backend &B) {
   B.Failures = 0;
   if (B.Healthy)
     return;
   B.Healthy = true;
   Ring.add(B.Name);
   B.UpGauge->set(1);
-  ReinstatementsCtr->inc();
+  Owner.ReinstatementsCtr->inc();
   BackendsGauge->set(static_cast<double>(Ring.size()));
   std::lock_guard<std::mutex> Lock(StatsMu);
   ++Counters.BackendReinstatements;
   HealthView[B.Name] = true;
 }
 
-void Router::retryPending(PendingRequest P, uint64_t NowNs) {
+void Router::UpstreamPool::retryPending(PendingRequest P, uint64_t NowNs) {
   // Account the hop that just failed or timed out before re-routing.
   if (P.HopStartNs && P.Hops.size() < P.Tried.size())
     P.Hops.emplace_back(P.Tried.back(),
                         static_cast<double>(NowNs - P.HopStartNs) *
                             1e-9);
-  auto CIt = ClientsById.find(P.ClientId);
-  if (CIt == ClientsById.end() ||
-      !CIt->second->Pending.count(P.ClientCorr)) {
-    recordFlight(P, "orphan", NowNs);
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.OrphanResponses;
+  if (!Ctx.waiting(P.Ref)) {
+    dropOrphan(P, NowNs);
     return;
   }
   if (P.RetriesLeft <= 0) {
@@ -1126,8 +718,7 @@ void Router::retryPending(PendingRequest P, uint64_t NowNs) {
   }
   --P.RetriesLeft;
   Backend *Next = nullptr;
-  for (const std::string &Name :
-       Ring.ownersOf(P.Key, Backends.size())) {
+  for (const std::string &Name : Ring.ownersOf(P.Key, Backends.size())) {
     if (std::find(P.Tried.begin(), P.Tried.end(), Name) ==
         P.Tried.end()) {
       Next = backendByName(Name);
@@ -1139,32 +730,31 @@ void Router::retryPending(PendingRequest P, uint64_t NowNs) {
                   "no healthy backend remains for this key");
     return;
   }
-  {
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.Retries;
-  }
-  RetriesCtr->inc();
+  count([](UpstreamStats &S) { ++S.Retries; });
+  Owner.RetriesCtr->inc();
   sendToBackend(*Next, std::move(P), NowNs);
 }
 
-void Router::rejectPending(PendingRequest &P, const std::string &Code,
-                           const std::string &Reason) {
+void Router::UpstreamPool::dropOrphan(const PendingRequest &P,
+                                      uint64_t NowNs) {
+  recordFlight(P, "orphan", NowNs);
+  count([](UpstreamStats &S) { ++S.OrphanResponses; });
+  Ctx.drop(P.Ref);
+}
+
+void Router::UpstreamPool::rejectPending(PendingRequest &P,
+                                         const std::string &Code,
+                                         const std::string &Reason) {
   if (P.TimerId) {
-    Wheel.cancel(P.TimerId);
+    Ctx.wheel().cancel(P.TimerId);
     P.TimerId = 0;
   }
   recordFlight(P, Code, monotonicNanos());
-  auto It = ClientsById.find(P.ClientId);
-  if (It == ClientsById.end())
-    return;
-  ClientConn &C = *It->second;
-  if (C.Pending.erase(P.ClientCorr) == 0)
-    return;
-  --C.InFlight;
-  sendClientReject(C, P.ClientCorr, Code, Reason);
+  Owner.RejectsCtr->inc();
+  Ctx.reject(P.Ref, Code, Reason);
 }
 
-void Router::healthTick(uint64_t NowNs) {
+void Router::UpstreamPool::healthTick(uint64_t NowNs) {
   for (auto &BP : Backends) {
     Backend &B = *BP;
     switch (B.Conn) {
@@ -1177,24 +767,139 @@ void Router::healthTick(uint64_t NowNs) {
       if (B.PingCorr != 0) {
         // Last tick's probe is still unanswered: the link is not
         // moving frames, whatever the solver threads are doing.
-        transportFailure(B, "ping unanswered", NowNs);
+        transportFailure(B, NowNs);
         break;
       }
-      B.PingCorr = B.NextCorr++;
-      B.WriteQ.push_back(
-          net::encodeFrame(net::FrameType::Ping, B.PingCorr, ""));
-      {
-        std::lock_guard<std::mutex> Lock(StatsMu);
-        ++Counters.FramesOut;
-      }
-      updateBackendSubscription(B);
+      sendPing(B);
       break;
     }
   }
   armHealthTimer(monotonicNanos());
 }
 
-void Router::armHealthTimer(uint64_t NowNs) {
-  Wheel.schedule(NowNs, Opts.HealthIntervalMs * 1'000'000ull,
-                 [this] { healthTick(monotonicNanos()); });
+void Router::UpstreamPool::armHealthTimer(uint64_t NowNs) {
+  Ctx.wheel().schedule(NowNs, Opts.HealthIntervalMs * 1'000'000ull,
+                       [this] { healthTick(monotonicNanos()); });
+}
+
+//===----------------------------------------------------------------------===//
+// Router
+//===----------------------------------------------------------------------===//
+
+Router::Router(RouterOptions O)
+    : Opts(std::move(O)),
+      Front(Opts, [this](net::ReactorContext &Ctx) {
+        auto P = std::make_unique<UpstreamPool>(*this, Ctx);
+        Pools.push_back(P.get());
+        return P;
+      }) {}
+
+Router::~Router() { stop(); }
+
+ErrorOr<bool> Router::start() {
+  if (!Pools.empty())
+    return makeError("router already started");
+  if (Opts.Backends.empty())
+    return makeError("router needs at least one backend");
+  for (const std::string &Text : Opts.Backends) {
+    ErrorOr<Address> A = parseAddress(Text);
+    if (!A)
+      return makeError(A.message());
+    for (const Address &Seen : Addrs)
+      if (Seen.name() == A->name())
+        return makeError("duplicate backend '" + A->name() + "'");
+    Addrs.push_back(*A);
+  }
+
+  ClientConnsGauge = &obs::metrics().gauge(
+      "cdvs_cluster_client_connections",
+      "client connections open on the router (refreshed per scrape)");
+  ClientConnsGauge->set(0);
+  RetriesCtr = &obs::metrics().counter(
+      "cdvs_cluster_retries_total",
+      "in-flight requests re-routed to the next ring owner");
+  EvictionsCtr = &obs::metrics().counter(
+      "cdvs_cluster_backend_evictions_total",
+      "backends evicted from a reactor's ring after consecutive "
+      "transport failures");
+  ReinstatementsCtr = &obs::metrics().counter(
+      "cdvs_cluster_backend_reinstatements_total",
+      "evicted backends that answered a probe and rejoined a reactor's "
+      "ring");
+  RejectsCtr = &obs::metrics().counter(
+      "cdvs_cluster_rejects_total",
+      "router-originated rejects (no backends, exhausted retry budget)");
+  SlowCtr = &obs::metrics().counter(
+      "cdvs_cluster_slow_requests_total",
+      "requests the flight recorder saw finish over the slow-log "
+      "threshold, or fail");
+
+  if (Opts.SlowLogMs > 0) {
+    if (Opts.SlowLogPath.empty() || Opts.SlowLogPath == "-") {
+      SlowLog = stderr;
+    } else {
+      SlowLog = std::fopen(Opts.SlowLogPath.c_str(), "a");
+      if (!SlowLog)
+        return makeError("cannot open slow log '" + Opts.SlowLogPath +
+                         "'");
+      SlowLogOwned = true;
+    }
+  }
+  return Front.start();
+}
+
+void Router::stop() {
+  Front.stop();
+  if (SlowLogOwned && SlowLog)
+    std::fclose(SlowLog);
+  SlowLog = nullptr;
+  SlowLogOwned = false;
+}
+
+RouterStats Router::stats() const {
+  RouterStats S;
+  static_cast<net::ServerStats &>(S) = Front.stats();
+  if (ClientConnsGauge)
+    ClientConnsGauge->set(static_cast<double>(S.OpenConnections));
+  std::map<std::string, size_t> OnRing;
+  for (const UpstreamPool *P : Pools) {
+    P->addStats(S);
+    P->countOnRing(OnRing);
+  }
+  for (const auto &[Name, Count] : OnRing)
+    S.HealthyBackends += Count == Pools.size() ? 1 : 0;
+  return S;
+}
+
+std::vector<std::pair<std::string, bool>> Router::backendHealth() const {
+  std::map<std::string, size_t> OnRing;
+  for (const UpstreamPool *P : Pools)
+    P->countOnRing(OnRing);
+  std::vector<std::pair<std::string, bool>> Out;
+  for (const auto &[Name, Count] : OnRing)
+    Out.emplace_back(Name, Count == Pools.size());
+  return Out;
+}
+
+std::vector<FlightRecord> Router::flightRecords() const {
+  std::vector<FlightRecord> Out;
+  for (const UpstreamPool *P : Pools)
+    P->appendFlights(Out);
+  return Out;
+}
+
+std::string Router::statsData() const {
+  // Scrapes are rare (human or CI cadence): refresh the connection
+  // gauge and collect every reactor's flight records here.
+  ClientConnsGauge->set(
+      static_cast<double>(Front.stats().OpenConnections));
+  std::string Flights = "[";
+  for (const FlightRecord &R : flightRecords()) {
+    if (Flights.size() > 1)
+      Flights += ',';
+    Flights += flightRecordJson(R);
+  }
+  Flights += ']';
+  return net::renderStatsData("router", "dvs-router",
+                              "\"flight\":" + Flights + ",");
 }

@@ -5,19 +5,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The cluster front end: one event-loop thread that is a cdvs-wire v1
-/// *server* to clients and a multiplexed cdvs-wire *client* to every
-/// dvs-server backend. A client Request is parsed (strictly — garbage is
-/// rejected here, not after burning a backend hop), keyed
-/// (cluster/Key.h), hashed onto the consistent ring (cluster/Ring.h),
-/// and proxied to the owning backend by correlation-id remapping: the
-/// router assigns its own upstream id per backend connection, remembers
-/// (client connection, client id), and rewrites the header on the way
-/// back — payloads cross untouched except for an optional
-/// `"backend":"host:port"` annotation spliced into Responses for
-/// loadgen's per-backend breakdown.
+/// The cluster front end: a net::Server whose per-reactor request
+/// handler is an upstream pool — a multiplexed cdvs-wire *client* to
+/// every dvs-server backend. The server side is net::Server's, every
+/// guard included (framing, idle and slow-frame timeouts, write
+/// backpressure, shedding, connection limit, drain), so a request
+/// reaches the pool parsed and admitted. The pool keys it
+/// (cluster/Key.h), hashes it onto the consistent ring
+/// (cluster/Ring.h), and proxies it to the owning backend by
+/// correlation-id remapping: each backend link assigns its own upstream
+/// id and remembers the client's request; the answer goes back on the
+/// same reactor with the client's id — payloads cross untouched except
+/// for an optional `"backend":"host:port"` annotation spliced into
+/// Responses for loadgen's per-backend breakdown.
 ///
-/// Health and failover, all on the loop's timer wheel:
+/// Each reactor owns its pool: its own backend links, ring and health
+/// state, registered on that reactor's poller and timer wheel. A routed
+/// request thus crosses client -> router reactor -> backend, and no
+/// lock is shared between reactors on that path.
+///
+/// Health and failover, all on the pool's timer wheel:
 ///
 ///  * every HealthIntervalMs each Up backend is Pinged; an unanswered
 ///    ping by the next tick, a failed/timed-out connect, a framing
@@ -38,52 +45,32 @@
 ///    exhausted budget answers Reject{"upstream"} — every admitted
 ///    request gets exactly one answer.
 ///
-/// Graceful drain mirrors net::Server: stop accepting, let in-flight
-/// answers flush, close when quiet.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef CDVS_CLUSTER_ROUTER_H
 #define CDVS_CLUSTER_ROUTER_H
 
 #include "cluster/Address.h"
-#include "cluster/Ring.h"
-#include "net/EventLoop.h"
-#include "net/Wire.h"
-#include "obs/Metrics.h"
-#include "support/RingBuffer.h"
+#include "net/Server.h"
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <set>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 namespace cdvs {
 namespace cluster {
 
-/// Sizing and policy knobs for a Router.
-struct RouterOptions {
-  std::string BindAddress = "127.0.0.1";
-  /// 0 picks an ephemeral port; read it back via Router::port().
-  uint16_t Port = 0;
-  int Backlog = 128;
+/// Sizing and policy knobs for a Router; the client-facing connection
+/// knobs are net::ConnectionOptions'. MaxFrameBytes caps upstream
+/// frames too.
+struct RouterOptions : net::ConnectionOptions {
   /// Backend addresses ("host:port" each); fixed membership, dynamic
   /// health.
   std::vector<std::string> Backends;
   /// Ring points per backend; must match the backends' PeerFiller.
   int VirtualNodes = 64;
-  /// Accepted client connections beyond this are refused.
-  size_t MaxConnections = 256;
-  /// Per-frame payload cap, both directions.
-  size_t MaxFrameBytes = net::kDefaultMaxPayloadBytes;
   /// Health-probe cadence; also the ping-answer deadline.
   uint64_t HealthIntervalMs = 500;
   /// Consecutive transport failures that evict a backend.
@@ -97,17 +84,15 @@ struct RouterOptions {
   int RetryBudget = 2;
   /// Splice "backend":"host:port" into relayed Responses.
   bool AnnotateBackend = true;
-  /// Flight-recorder depth: the newest completed proxied requests are
-  /// kept (key, owner, per-hop latencies, verdict) for StatsFetch
-  /// scrapes and post-mortems. 0 disables recording.
+  /// Flight-recorder depth per reactor: the newest completed proxied
+  /// requests are kept (key, owner, per-hop latencies, verdict) for
+  /// StatsFetch scrapes and post-mortems. 0 disables recording.
   size_t FlightCapacity = 256;
   /// Dump a JSON line for every request slower than this (or answered
   /// with a reject) to SlowLogPath. 0 disables the slow log.
   uint64_t SlowLogMs = 0;
   /// Slow-log destination; empty or "-" writes to stderr.
   std::string SlowLogPath;
-  /// Use the portable poll(2) backend even where epoll exists.
-  bool ForcePoll = false;
 };
 
 /// One completed proxied request, as the router's bounded flight
@@ -133,26 +118,23 @@ struct FlightRecord {
   double TotalSeconds = 0.0;
 };
 
-/// Loop-side counters, snapshotted by Router::stats().
-struct RouterStats {
-  long ConnectionsAccepted = 0;
-  long ConnectionsRejected = 0; ///< over MaxConnections
-  long ConnectionsClosed = 0;
-  long FramesIn = 0;
-  long FramesOut = 0;
+/// Upstream-side counters, summed over the reactors' pools.
+struct UpstreamStats {
   long RequestsRouted = 0;    ///< proxied sends, retries included
   long ResponsesRelayed = 0;
   long RejectsRelayed = 0;    ///< backend rejects passed through
-  long RejectsSent = 0;       ///< router-originated rejects
   long Retries = 0;
-  long ProtocolErrors = 0;
   long BackendEvictions = 0;
   long BackendReinstatements = 0;
   long UpstreamTimeouts = 0;
   long OrphanResponses = 0;   ///< answer landed after client/id vanished
+  /// Backends on the ring of every reactor's pool.
   size_t HealthyBackends = 0;
-  size_t OpenConnections = 0;
 };
+
+/// The client side (the server's counters; RejectsSent includes the
+/// router's own no_backends/upstream rejects) plus the upstream side.
+struct RouterStats : net::ServerStats, UpstreamStats {};
 
 /// The cluster router; see the file comment.
 class Router {
@@ -163,211 +145,63 @@ public:
   Router(const Router &) = delete;
   Router &operator=(const Router &) = delete;
 
-  /// Binds, listens, and spawns the loop thread. Backends start
-  /// optimistic (on the ring, connecting); the first failed probes
-  /// evict the ones that are not actually there.
+  /// Binds, listens, and spawns the reactors. Backends start optimistic
+  /// (on the ring, connecting); the first failed probes evict the ones
+  /// that are not actually there.
   ErrorOr<bool> start();
 
   /// The bound port (after start(); useful with Port = 0).
-  uint16_t port() const { return BoundPort; }
+  uint16_t port() const { return Front.port(); }
   /// "epoll" or "poll" (after start()).
-  const char *backendName() const { return IoBackend; }
+  const char *backendName() const { return Front.backendName(); }
+  /// Reactor threads actually running (after start()).
+  int reactors() const { return Front.reactors(); }
 
   /// Stop accepting, answer what is in flight, close when quiet.
   /// Idempotent, thread-safe.
-  void beginDrain();
+  void beginDrain() { Front.beginDrain(); }
   /// Waits for the drain to finish. \returns false on timeout;
   /// TimeoutSeconds <= 0 polls once.
-  bool waitDrained(double TimeoutSeconds);
+  bool waitDrained(double TimeoutSeconds) {
+    return Front.waitDrained(TimeoutSeconds);
+  }
 
-  /// Hard stop: closes everything and joins the loop. The destructor
-  /// calls this.
+  /// Hard stop: closes everything and joins the reactors. The
+  /// destructor calls this.
   void stop();
 
   RouterStats stats() const;
-  /// (backend name, on-the-ring) pairs — the tests' view of the health
-  /// state machine.
+  /// (backend name, on the ring of every reactor's pool) pairs — the
+  /// tests' view of the health state machine.
   std::vector<std::pair<std::string, bool>> backendHealth() const;
-  /// Snapshot of the flight recorder, oldest first. Thread-safe.
+  /// Snapshot of the flight recorder, oldest first per reactor.
+  /// Thread-safe.
   std::vector<FlightRecord> flightRecords() const;
 
 private:
-  struct ClientConn {
-    int Fd = -1;
-    uint64_t Id = 0;
-    net::FrameParser Parser;
-    std::deque<std::string> WriteQ;
-    size_t WriteOff = 0; ///< bytes of WriteQ.front() already sent
-    long InFlight = 0;   ///< proxied requests not yet answered
-    /// Correlation ids in flight (duplicate detection + exactly-one-
-    /// answer bookkeeping).
-    std::set<uint64_t> Pending;
-    bool SawEof = false;
-    bool CloseAfterFlush = false;
-    unsigned Subscribed = 0;
+  class UpstreamPool;
 
-    explicit ClientConn(size_t MaxPayload) : Parser(MaxPayload) {}
-  };
-
-  /// One proxied request, owned by the backend connection carrying it.
-  struct PendingRequest {
-    uint64_t ClientId = 0;
-    uint64_t ClientCorr = 0;
-    /// Request JSON, kept so a failover can resend it.
-    std::string Payload;
-    /// The client's request frame kind (Request or GraphRequest),
-    /// re-emitted verbatim on every upstream send and failover.
-    net::FrameType Kind = net::FrameType::Request;
-    Fingerprint128 Key;
-    int RetriesLeft = 0;
-    /// Backends this request was already sent to; a retry skips them.
-    std::vector<std::string> Tried;
-    uint64_t TimerId = 0; ///< upstream-timeout wheel id, 0 = none
-    uint64_t StartNs = 0;
-    /// Trace context from the client's Request frame, re-emitted (with
-    /// the router's route span as parent) on every upstream send.
-    net::TraceContext Trace;
-    bool HasTrace = false;
-    /// The router's own span id for this request ("route"), allocated
-    /// at admission so upstream sends can name it as parent before the
-    /// span's completion event is recorded at answer time.
-    uint64_t RouteSpanId = 0;
-    uint64_t HopStartNs = 0; ///< when the current upstream send left
-    /// Completed hops: (backend, seconds from send to answer/failure).
-    std::vector<std::pair<std::string, double>> Hops;
-  };
-
-  struct Backend {
-    Address Addr;
-    std::string Name; ///< Addr.name(), the ring member string
-    enum class Link { Idle, Connecting, Up } Conn = Link::Idle;
-    bool Healthy = true; ///< on the ring?
-    int Failures = 0;    ///< consecutive transport failures
-    int Fd = -1;
-    net::FrameParser Parser;
-    std::deque<std::string> WriteQ;
-    size_t WriteOff = 0;
-    unsigned Subscribed = 0;
-    uint64_t NextCorr = 1;
-    /// Upstream correlation id -> the proxied request it carries.
-    std::map<uint64_t, PendingRequest> InFlight;
-    uint64_t PingCorr = 0;     ///< outstanding health probe, 0 = none
-    uint64_t ConnectTimer = 0; ///< wheel id, 0 = none
-
-    obs::Counter *RequestsCtr = nullptr;
-    obs::Gauge *UpGauge = nullptr;
-    obs::Histogram *LatencyHist = nullptr;
-
-    explicit Backend(size_t MaxPayload) : Parser(MaxPayload) {}
-  };
-
-  void loop();
-  void teardown();
-
-  // Client side.
-  void acceptReady(uint64_t NowNs);
-  void clientEvent(uint64_t Id, unsigned Events, uint64_t NowNs);
-  void processClientFrames(ClientConn &C, uint64_t NowNs);
-  void routeRequest(ClientConn &C, net::Frame &F, uint64_t NowNs);
-  /// Answers a StatsFetch with the router's live metrics, trace ring,
-  /// and flight records as a StatsData frame.
-  void handleStatsFetch(ClientConn &C, net::Frame &F);
-  void enqueueClientFrame(ClientConn &C, net::FrameType Type,
-                          uint64_t Correlation,
-                          const std::string &Payload);
-  void sendClientReject(ClientConn &C, uint64_t Correlation,
-                        const std::string &Code,
-                        const std::string &Reason);
-  void flushClient(ClientConn &C);
-  void updateClientSubscription(ClientConn &C);
-  /// Closes now when a soft-closing connection has answered everything.
-  void maybeFinishClient(ClientConn &C);
-  void closeClient(uint64_t Id);
-
-  // Backend side.
-  Backend *backendByName(const std::string &Name);
-  void startConnect(Backend &B, uint64_t NowNs);
-  void onBackendConnected(Backend &B);
-  void backendEvent(Backend &B, unsigned Events, uint64_t NowNs);
-  void processBackendFrames(Backend &B, uint64_t NowNs);
-  void deliver(Backend &B, net::Frame &F, uint64_t NowNs);
-  void flushBackend(Backend &B);
-  void updateBackendSubscription(Backend &B);
-  void sendToBackend(Backend &B, PendingRequest P, uint64_t NowNs);
-  /// Closes the link (if any), cancels its timers, and returns the
-  /// requests that were riding it.
-  std::vector<PendingRequest> closeBackendLink(Backend &B);
-  /// One consecutive transport failure: close the link, maybe evict,
-  /// fail over whatever was in flight.
-  void transportFailure(Backend &B, const std::string &Reason,
-                        uint64_t NowNs);
-  void markDown(Backend &B);
-  /// A completed probe: failures reset, evicted backends rejoin.
-  void recover(Backend &B);
-  void retryPending(PendingRequest P, uint64_t NowNs);
-  /// Answers the client with a router-originated Reject (routing
-  /// failure, exhausted budget).
-  void rejectPending(PendingRequest &P, const std::string &Code,
-                     const std::string &Reason);
-  /// Retires \p P into the flight recorder and, when it was slow or
-  /// failed and the slow log is on, dumps it as a JSON line. Also emits
-  /// the request's "route" span when it carried a trace context.
-  void recordFlight(const PendingRequest &P, const std::string &Verdict,
-                    uint64_t NowNs);
-  void healthTick(uint64_t NowNs);
-  void armHealthTimer(uint64_t NowNs);
-  void startDrainOnLoop();
-  void finishDrainIfIdle();
+  /// The StatsData payload: role "router" plus the flight records.
+  std::string statsData() const;
 
   RouterOptions Opts;
-
-  // Loop-thread-only state.
-  std::unique_ptr<net::Poller> Io;
-  net::TimerWheel Wheel;
-  net::WakeupFd Wakeup;
-  int ListenFd = -1;
-  std::vector<std::unique_ptr<Backend>> Backends;
-  std::map<int, Backend *> BackendByFd;
-  std::map<uint64_t, std::unique_ptr<ClientConn>> ClientsById;
-  std::map<int, uint64_t> ClientByFd;
-  HashRing Ring;
-  uint64_t NextClientId = 1;
-  bool DrainStarted = false;
-  /// Fds closed during the current event wave; later events in the same
-  /// wave that name them are stale (the number may already be reused by
-  /// a reconnect or accept) and are skipped.
-  std::set<int> Tombstones;
-
-  std::thread LoopThread;
-  uint16_t BoundPort = 0;
-  const char *IoBackend = "";
-  bool Started = false;
-
-  // Cross-thread lifecycle + observation.
-  std::atomic<bool> StopRequested{false};
-  std::atomic<bool> DrainRequested{false};
-  mutable std::mutex StatsMu;
-  RouterStats Counters;                  ///< guarded by StatsMu
-  std::map<std::string, bool> HealthView; ///< guarded by StatsMu
-  mutable std::mutex StateMu;
-  std::condition_variable DrainedCv;
-  bool Drained = false;
-
-  // Flight recorder: written by the loop thread, snapshotted by
-  // flightRecords()/StatsFetch scrapes.
-  mutable std::mutex FlightMu;
-  RingBuffer<FlightRecord> Flight; ///< guarded by FlightMu
-  std::FILE *SlowLog = nullptr;    ///< loop-thread-only, owned iff not stderr
+  std::vector<Address> Addrs;
+  /// One per reactor, owned by the reactor's handler slot; filled by
+  /// the server's start() before any reactor runs.
+  std::vector<UpstreamPool *> Pools;
+  std::FILE *SlowLog = nullptr; ///< owned iff SlowLogOwned
   bool SlowLogOwned = false;
 
-  obs::Gauge *BackendsGauge = nullptr;
   obs::Gauge *ClientConnsGauge = nullptr;
   obs::Counter *RetriesCtr = nullptr;
   obs::Counter *EvictionsCtr = nullptr;
   obs::Counter *ReinstatementsCtr = nullptr;
   obs::Counter *RejectsCtr = nullptr;
   obs::Counter *SlowCtr = nullptr;
-  obs::Counter *ScrapesCtr = nullptr;
+
+  /// Last member: its reactors (and the pools they own) stop and die
+  /// before anything above.
+  net::Server Front;
 };
 
 } // namespace cluster

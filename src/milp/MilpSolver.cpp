@@ -211,19 +211,27 @@ void MilpSolver::tryRounding(Search &S, const std::vector<double> &Relaxed) {
       Handled[V] = true;
     }
   }
+  // Round onto the integers inside each variable's bounds; a fractional
+  // bound is not a value an integer variable may take.
+  bool HasIntegerPoint = true;
   for (int V : IntegerVars) {
     if (Handled[V] || S.CurLo[V] == S.CurHi[V])
       continue;
-    double R = std::round(Relaxed[V]);
-    R = std::min(std::max(R, S.CurLo[V]), S.CurHi[V]);
-    fixVar(V, R);
+    double Lo = std::ceil(S.CurLo[V]), Hi = std::floor(S.CurHi[V]);
+    if (Lo > Hi) {
+      HasIntegerPoint = false;
+      break;
+    }
+    fixVar(V, std::min(std::max(std::round(Relaxed[V]), Lo), Hi));
   }
 
-  LpSolution R = solveNodeLp(S.Engine, Opts.WarmStart, Opts.LpOpts,
-                             S.ColdLps);
-  S.LpIterations += R.Iterations;
-  if (R.Status == LpStatus::Optimal)
-    S.offerIncumbent(R, Opts.AbsGap);
+  if (HasIntegerPoint) {
+    LpSolution R = solveNodeLp(S.Engine, Opts.WarmStart, Opts.LpOpts,
+                               S.ColdLps);
+    S.LpIterations += R.Iterations;
+    if (R.Status == LpStatus::Optimal)
+      S.offerIncumbent(R, Opts.AbsGap);
+  }
 
   for (auto It = Saved.rbegin(); It != Saved.rend(); ++It) {
     S.Engine.setBounds(It->first, It->second.first, It->second.second);
@@ -337,10 +345,14 @@ void MilpSolver::processNode(Search &S, const std::shared_ptr<const Node> &N) {
     pushChild(1.0 - Likely, 1.0 - Likely);
     pushChild(Likely, Likely);
   } else {
-    // General integer: floor/ceiling split, floor side first.
+    // General integer: floor/ceiling split, floor side first. A side
+    // with no integer left in it (next to a fractional bound) is not
+    // pushed: its bounds would cross.
     double Floor = std::floor(Value);
-    pushChild(Floor + 1.0, SavedHi);
-    pushChild(SavedLo, Floor);
+    if (Floor + 1.0 <= SavedHi)
+      pushChild(Floor + 1.0, SavedHi);
+    if (Floor >= SavedLo)
+      pushChild(SavedLo, Floor);
   }
 }
 

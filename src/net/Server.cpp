@@ -7,10 +7,12 @@
 #include "net/Server.h"
 
 #include "service/JobIO.h"
+#include "support/ArgParse.h"
 #include "support/Clock.h"
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 
 #include <netinet/in.h>
@@ -43,50 +45,262 @@ obs::Counter &shedsCounter(int Reactor, const char *Class) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// CompletionQueue
+// The local handler: requests run on the embedded SchedulerService
 //===----------------------------------------------------------------------===//
 
-Server::CompletionQueue::~CompletionQueue() {
-  Node *N = Head.exchange(nullptr, std::memory_order_acquire);
-  while (N) {
-    Node *Next = N->Next;
-    delete N;
-    N = Next;
+namespace {
+
+/// A finished job on its way from a pipeline worker to its reactor.
+struct Completion {
+  RequestRef Ref;
+  /// Response for single-program jobs, GraphResponse for graph jobs —
+  /// the answer frame mirrors the request frame's kind.
+  FrameType Type = FrameType::Response;
+  std::string Payload; ///< response JSON, serialized on the worker
+};
+
+/// Lock-free MPSC handoff from pipeline workers to one reactor: push()
+/// is a CAS loop on an intrusive Treiber list (any thread), drainTo()
+/// exchanges the whole list and reverses it (owner reactor only).
+class CompletionQueue {
+public:
+  ~CompletionQueue() {
+    Node *N = Head.exchange(nullptr, std::memory_order_acquire);
+    while (N) {
+      Node *Next = N->Next;
+      delete N;
+      N = Next;
+    }
   }
+
+  void push(Completion C) {
+    Node *N = new Node{std::move(C), nullptr};
+    Node *Old = Head.load(std::memory_order_relaxed);
+    do {
+      N->Next = Old;
+    } while (!Head.compare_exchange_weak(Old, N, std::memory_order_release,
+                                         std::memory_order_relaxed));
+  }
+
+  /// Appends all pending completions to \p Out in rough FIFO order.
+  void drainTo(std::vector<Completion> &Out) {
+    Node *N = Head.exchange(nullptr, std::memory_order_acquire);
+    // The Treiber list is LIFO; reverse it so completions deliver in
+    // rough arrival order.
+    Node *Prev = nullptr;
+    while (N) {
+      Node *Next = N->Next;
+      N->Next = Prev;
+      Prev = N;
+      N = Next;
+    }
+    for (N = Prev; N;) {
+      Out.push_back(std::move(N->C));
+      Node *Next = N->Next;
+      delete N;
+      N = Next;
+    }
+  }
+
+private:
+  struct Node {
+    Completion C;
+    Node *Next = nullptr;
+  };
+  std::atomic<Node *> Head{nullptr};
+};
+
+/// Runs requests on the embedded SchedulerService; one per reactor.
+class LocalHandler final : public RequestHandler {
+public:
+  LocalHandler(SchedulerService &Svc, ReactorContext &Ctx)
+      : Svc(Svc), Ctx(Ctx),
+        CqDepthGauge(&obs::metrics().gauge(
+            "cdvs_net_completion_queue_depth",
+            "Peak completions drained from one reactor's queue in a batch",
+            {{"reactor", reactorLabel(Ctx.index())}})) {}
+
+  void poll(uint64_t) override {
+    Batch.clear();
+    CQ.drainTo(Batch);
+    if (Batch.empty())
+      return;
+    CqDepthGauge->max(static_cast<double>(Batch.size()));
+    for (Completion &Cp : Batch)
+      Ctx.answer(Cp.Ref, Cp.Type, Cp.Payload);
+  }
+
+  void request(const RequestRef &Ref, Frame &F, JobRequest &Req,
+               uint64_t) override {
+    // Hand the pipeline the thread's current context (the frame span
+    // when tracing is on, else the sender's raw context): the job span
+    // and everything under it, including peer fills, join the same
+    // trace.
+    obs::SpanContext SpanCtx = obs::currentSpanContext();
+    if (SpanCtx.valid()) {
+      Req.TraceHi = SpanCtx.TraceHi;
+      Req.TraceLo = SpanCtx.TraceLo;
+      Req.TraceParentSpan = SpanCtx.Span;
+      Req.TraceSampled = SpanCtx.Sampled;
+    }
+    // The callback runs on a pipeline worker (or inline on this thread
+    // when admission rejects): serialize there, push the bytes onto
+    // this reactor's lock-free completion queue, wake the reactor.
+    // Never touches connection state directly.
+    FrameType AnswerType = F.Type == FrameType::GraphRequest
+                               ? FrameType::GraphResponse
+                               : FrameType::Response;
+    Svc.submitAsync(std::move(Req), [this, Ref, AnswerType](JobResult Res) {
+      CQ.push({Ref, AnswerType,
+               jobResultToJson(Res, /*IncludeSchedule=*/true)});
+      Ctx.wake();
+    });
+  }
+
+  const SchedulerService *cache() const override { return &Svc; }
+
+  std::string statsData() override {
+    return renderStatsData("server", "dvs-server");
+  }
+
+private:
+  SchedulerService &Svc;
+  ReactorContext &Ctx;
+  CompletionQueue CQ;
+  std::vector<Completion> Batch;
+  obs::Gauge *CqDepthGauge;
+};
+
+} // namespace
+
+std::string net::renderStatsData(const std::string &Role,
+                                 const std::string &Process,
+                                 const std::string &ExtraFields) {
+  return "{\"role\":\"" + Role + "\",\"pid\":" +
+         std::to_string(static_cast<long>(getpid())) + ",\"now_ns\":" +
+         std::to_string(monotonicNanos()) + ",\"trace_dropped\":" +
+         std::to_string(obs::trace().dropped()) + "," + ExtraFields +
+         "\"metrics\":\"" + jsonEscape(obs::metrics().renderPrometheus()) +
+         "\",\"trace\":" +
+         obs::trace().renderChromeTrace(static_cast<int>(getpid()),
+                                        Process.c_str()) +
+         "}";
 }
 
-void Server::CompletionQueue::push(Completion C) {
-  Node *N = new Node{std::move(C), nullptr};
-  Node *Old = Head.load(std::memory_order_relaxed);
-  do {
-    N->Next = Old;
-  } while (!Head.compare_exchange_weak(Old, N, std::memory_order_release,
-                                       std::memory_order_relaxed));
-  Depth.fetch_add(1, std::memory_order_relaxed);
+std::string net::renderServerStats(const ServerStats &S) {
+  char Buf[512];
+  std::snprintf(
+      Buf, sizeof(Buf),
+      "\"accepted\":%ld,\"conn_rejected\":%ld,\"closed\":%ld,"
+      "\"frames_in\":%ld,\"frames_out\":%ld,\"bytes_in\":%lld,"
+      "\"bytes_out\":%lld,\"rejects\":%ld,\"protocol_errors\":%ld,"
+      "\"idle_closes\":%ld,\"request_timeouts\":%ld,"
+      "\"read_pauses\":%ld,\"orphan_completions\":%ld,"
+      "\"load_sheds\":%ld,\"slow_frame_closes\":%ld,"
+      "\"handoff_accepts\":%ld",
+      S.ConnectionsAccepted, S.ConnectionsRejected, S.ConnectionsClosed,
+      S.FramesIn, S.FramesOut, S.BytesIn, S.BytesOut, S.RejectsSent,
+      S.ProtocolErrors, S.IdleCloses, S.RequestTimeouts, S.ReadPauses,
+      S.OrphanCompletions, S.LoadSheds, S.SlowFrameCloses,
+      S.HandoffAccepts);
+  return Buf;
 }
 
-void Server::CompletionQueue::drainTo(std::vector<Completion> &Out) {
-  Node *N = Head.exchange(nullptr, std::memory_order_acquire);
-  if (!N)
-    return;
-  // The Treiber list is LIFO; reverse it so completions deliver in
-  // rough arrival order.
-  Node *Prev = nullptr;
-  long Count = 0;
-  while (N) {
-    Node *Next = N->Next;
-    N->Next = Prev;
-    Prev = N;
-    N = Next;
-    ++Count;
-  }
-  for (N = Prev; N;) {
-    Out.push_back(std::move(N->C));
-    Node *Next = N->Next;
-    delete N;
-    N = Next;
-  }
-  Depth.fetch_sub(Count, std::memory_order_relaxed);
+std::function<void(ConnectionOptions &)> net::addConnectionFlags(ArgParser &P) {
+  std::string *Bind =
+      &P.addString("bind", "127.0.0.1", "address to listen on");
+  int *Port = &P.addInt("port", 0, "TCP port; 0 picks an ephemeral one");
+  int *Reactors = &P.addInt(
+      "reactors", 1,
+      "event-loop (reactor) threads, each with its own SO_REUSEPORT "
+      "listener; 0 = one per core");
+  bool *NoReusePort = &P.addFlag(
+      "no-reuseport",
+      "use the single-acceptor fd-handoff path even where SO_REUSEPORT "
+      "exists");
+  int *MaxConns =
+      &P.addInt("max-conns", 256, "connection limit (over it: reject)");
+  int *MaxFrameKb =
+      &P.addInt("max-frame-kb", 1024, "per-frame payload cap in KiB");
+  int *IdleMs = &P.addInt("idle-timeout-ms", 60000,
+                         "close silent connections after this; 0 = off");
+  int *ReqMs = &P.addInt("request-timeout-ms", 0,
+                        "reject requests in flight longer than this; "
+                        "0 = off");
+  int *SlowMs = &P.addInt(
+      "slow-frame-timeout-ms", 10000,
+      "close connections that sit on a partial frame this long "
+      "(slowloris guard); 0 = off");
+  int *ShedHigh = &P.addInt(
+      "shed-high", 0,
+      "per-reactor pending-job watermark: at it, lax requests answer "
+      "Reject{\"shed\"}; 0 = off");
+  int *ShedHard = &P.addInt(
+      "shed-hard", 0,
+      "pending-job watermark past which every request sheds; 0 = "
+      "2 * shed-high");
+  double *ShedLax = &P.addDouble(
+      "shed-lax-tightness", 0.5,
+      "deadline-tightness boundary of the sheddable (lax) class");
+  bool *ForcePoll =
+      &P.addFlag("poll", "use the portable poll(2) backend, not epoll");
+  // The flag values live in the parser; the closure reads them after
+  // parsing.
+  return [=](ConnectionOptions &O) {
+    auto AtLeast = [](int V, int Min) { return V < Min ? Min : V; };
+    O.BindAddress = *Bind;
+    O.Port = static_cast<uint16_t>(*Port);
+    O.Reactors = *Reactors;
+    O.ForceAcceptHandoff = *NoReusePort;
+    O.MaxConnections = static_cast<size_t>(AtLeast(*MaxConns, 1));
+    O.MaxFrameBytes = static_cast<size_t>(AtLeast(*MaxFrameKb, 1)) * 1024;
+    O.IdleTimeoutMs = static_cast<uint64_t>(AtLeast(*IdleMs, 0));
+    O.RequestTimeoutMs = static_cast<uint64_t>(AtLeast(*ReqMs, 0));
+    O.SlowFrameTimeoutMs = static_cast<uint64_t>(AtLeast(*SlowMs, 0));
+    O.ShedHighWater = static_cast<size_t>(AtLeast(*ShedHigh, 0));
+    O.ShedHardWater = static_cast<size_t>(AtLeast(*ShedHard, 0));
+    O.ShedLaxTightness = *ShedLax;
+    O.ForcePoll = *ForcePoll;
+  };
+}
+
+//===----------------------------------------------------------------------===//
+// ReactorContext
+//===----------------------------------------------------------------------===//
+
+void ReactorContext::retire(int Fd) {
+  Io->remove(Fd);
+  Retired.push_back(Fd);
+}
+
+void ReactorContext::closeRetired() {
+  for (int Fd : Retired)
+    ::close(Fd);
+  Retired.clear();
+}
+
+bool ReactorContext::waiting(const RequestRef &Ref) const {
+  const auto &R = static_cast<const Server::Reactor &>(*this);
+  auto It = R.ById.find(Ref.ConnId);
+  return It != R.ById.end() && It->second->StartNs.count(Ref.Correlation);
+}
+
+void ReactorContext::answer(const RequestRef &Ref, FrameType Type,
+                            const std::string &Payload) {
+  auto &R = static_cast<Server::Reactor &>(*this);
+  if (Server::Connection *C = Owner->retireRequest(R, Ref))
+    Owner->enqueueFrame(R, *C, Type, Ref.Correlation, Payload);
+}
+
+void ReactorContext::reject(const RequestRef &Ref, const std::string &Code,
+                            const std::string &Reason) {
+  auto &R = static_cast<Server::Reactor &>(*this);
+  if (Server::Connection *C = Owner->retireRequest(R, Ref))
+    Owner->sendReject(R, *C, Ref.Correlation, Code, Reason);
+}
+
+void ReactorContext::drop(const RequestRef &Ref) {
+  Owner->retireRequest(static_cast<Server::Reactor &>(*this), Ref);
 }
 
 //===----------------------------------------------------------------------===//
@@ -94,7 +308,14 @@ void Server::CompletionQueue::drainTo(std::vector<Completion> &Out) {
 //===----------------------------------------------------------------------===//
 
 Server::Server(ServerOptions O)
-    : Opts(std::move(O)), Service(Opts.Service) {}
+    : Opts(O), Service(std::make_unique<SchedulerService>(O.Service)) {
+  Factory = [this](ReactorContext &Ctx) {
+    return std::make_unique<LocalHandler>(*Service, Ctx);
+  };
+}
+
+Server::Server(ConnectionOptions O, HandlerFactory F)
+    : Opts(std::move(O)), Factory(std::move(F)) {}
 
 Server::~Server() { stop(); }
 
@@ -110,8 +331,7 @@ ErrorOr<bool> Server::start() {
   NumReactors = std::min(NumReactors, 64);
 
   for (int I = 0; I < NumReactors; ++I) {
-    auto R = std::make_unique<Reactor>();
-    R->Index = I;
+    auto R = std::make_unique<Reactor>(*this, I);
     R->NextConnId = static_cast<uint64_t>(I) + 1;
     if (!R->Wakeup.valid())
       return makeError("wakeup descriptor unavailable");
@@ -205,10 +425,6 @@ ErrorOr<bool> Server::start() {
     R.DrainGauge = &obs::metrics().gauge(
         "cdvs_net_connections", "Open server connections by state",
         {{"state", "draining"}, {"reactor", reactorLabel(R.Index)}});
-    R.CqDepthGauge = &obs::metrics().gauge(
-        "cdvs_net_completion_queue_depth",
-        "Peak completions drained from one reactor's queue in a batch",
-        L);
     R.LatencyHist = &obs::metrics().histogram(
         "cdvs_net_request_latency_seconds",
         "Request receipt to response enqueue, per completed request",
@@ -217,7 +433,13 @@ ErrorOr<bool> Server::start() {
     // every snapshot (dvs-stat --check), sheds or none.
     for (const char *Cls : {"lax", "hard", "slow_frame"})
       (void)shedsCounter(R.Index, Cls);
+    R.Handler = Factory(R);
   }
+  // Pre-registered so the family exists (at zero) in every scrape even
+  // before the trace ring first overwrites.
+  obs::metrics().counter(
+      "cdvs_trace_dropped_total",
+      "Trace events lost to ring-buffer overwrite since process start.");
 
   for (auto &R : Reactors) {
     Reactor *RP = R.get();
@@ -249,10 +471,11 @@ void Server::stop() {
     if (R->Thread.joinable())
       R->Thread.join();
   // The reactors are gone: late worker callbacks only push onto a
-  // CompletionQueue and poke a wakeup fd, both of which stay valid
-  // until the members destruct — after this shutdown() returns, no
-  // callback is running.
-  Service.shutdown();
+  // handler's completion queue and poke a wakeup fd, both of which stay
+  // valid until the members destruct — after this shutdown() returns,
+  // no callback is running.
+  if (Service)
+    Service->shutdown();
 }
 
 ServerStats Server::stats() const {
@@ -288,6 +511,7 @@ ServerStats Server::stats() const {
 //===----------------------------------------------------------------------===//
 
 void Server::loop(Reactor &R) {
+  R.Handler->start(monotonicNanos());
   std::vector<PollEvent> Events;
   while (!StopRequested.load(std::memory_order_acquire)) {
     if (DrainRequested.load(std::memory_order_acquire) && !R.DrainStarted)
@@ -296,11 +520,12 @@ void Server::loop(Reactor &R) {
     uint64_t Now = monotonicNanos();
     R.Wheel.advance(Now);
     adoptHandoff(R, Now);
-    handleCompletions(R, Now);
+    R.Handler->poll(Now);
     finishDrainIfIdle(R);
     if (StopRequested.load(std::memory_order_acquire))
       break;
 
+    R.closeRetired();
     int TimeoutMs = R.Wheel.pollTimeoutMs(monotonicNanos());
     int N = R.Io->wait(Events, TimeoutMs);
     if (N < 0)
@@ -316,8 +541,10 @@ void Server::loop(Reactor &R) {
         continue;
       }
       auto It = R.ByFd.find(E.Fd);
-      if (It == R.ByFd.end())
+      if (It == R.ByFd.end()) {
+        R.Handler->event(E, Now);
         continue;
+      }
       Connection &C = *It->second;
       uint64_t Id = C.Id;
       if (E.Events & EvErr) {
@@ -356,7 +583,9 @@ void Server::teardown(Reactor &R) {
   }
   for (int Fd : Orphans)
     ::close(Fd);
+  R.Handler->stop();
   R.Io->remove(R.Wakeup.fd());
+  R.closeRetired();
 }
 
 void Server::acceptReady(Reactor &R, uint64_t NowNs) {
@@ -573,25 +802,18 @@ size_t Server::processFrames(Reactor &R, Connection &C, uint64_t NowNs) {
       handleRequest(R, C, F, NowNs);
       break;
     case FrameType::PeerFetch:
-      handlePeerFetch(R, C, F);
-      break;
+      if (const SchedulerService *Cache = R.Handler->cache()) {
+        handlePeerFetch(R, C, F, *Cache);
+        break;
+      }
+      refuseFrame(R, C, F);
+      return Extracted;
     case FrameType::StatsFetch:
       handleStatsFetch(R, C, F);
       break;
     default:
       // Response/Reject/Pong/PeerData are server-to-client only.
-      {
-        std::lock_guard<std::mutex> L(R.StatsMu);
-        ++R.Counters.ProtocolErrors;
-      }
-      sendReject(R, C, F.Correlation, "bad_frame",
-                 std::string("unexpected client frame type '") +
-                     frameTypeName(F.Type) + "'");
-      if (!R.ById.count(Id))
-        return Extracted;
-      C.CloseAfterFlush = true;
-      updateSubscription(R, C);
-      writeReady(R, C);
+      refuseFrame(R, C, F);
       return Extracted;
     }
     if (!R.ById.count(Id))
@@ -653,17 +875,6 @@ void Server::handleRequest(Reactor &R, Connection &C, Frame &F,
                        : "graph payloads must use graph_request frames");
     return;
   }
-  // Hand the pipeline the thread's current context (the frame span when
-  // tracing is on, else the sender's raw context): the job span and
-  // everything under it, including peer fills, join the same trace.
-  obs::SpanContext Ctx = obs::currentSpanContext();
-  if (Ctx.valid()) {
-    Req->TraceHi = Ctx.TraceHi;
-    Req->TraceLo = Ctx.TraceLo;
-    Req->TraceParentSpan = Ctx.Span;
-    Req->TraceSampled = Ctx.Sampled;
-  }
-
   uint64_t ConnId = C.Id;
   uint64_t Corr = F.Correlation;
   C.StartNs[Corr] = NowNs;
@@ -691,27 +902,27 @@ void Server::handleRequest(Reactor &R, Connection &C, Frame &F,
         });
     C.RequestTimers[Corr] = Tid;
   }
-
-  // The callback runs on a pipeline worker (or inline on this thread
-  // when admission rejects): serialize there, push the bytes onto the
-  // owning reactor's lock-free completion queue, wake that reactor.
-  // Never touches connection state directly.
-  Reactor *RP = &R;
-  FrameType AnswerType =
-      IsGraph ? FrameType::GraphResponse : FrameType::Response;
-  Service.submitAsync(std::move(*Req),
-                      [RP, ConnId, Corr, AnswerType](JobResult Res) {
-    Completion Cp;
-    Cp.ConnId = ConnId;
-    Cp.Correlation = Corr;
-    Cp.Payload = jobResultToJson(Res, /*IncludeSchedule=*/true);
-    Cp.Type = AnswerType;
-    RP->CQ.push(std::move(Cp));
-    RP->Wakeup.notify();
-  });
+  R.Handler->request(RequestRef{ConnId, Corr}, F, *Req, NowNs);
 }
 
-void Server::handlePeerFetch(Reactor &R, Connection &C, Frame &F) {
+void Server::refuseFrame(Reactor &R, Connection &C, const Frame &F) {
+  {
+    std::lock_guard<std::mutex> L(R.StatsMu);
+    ++R.Counters.ProtocolErrors;
+  }
+  uint64_t Id = C.Id;
+  sendReject(R, C, F.Correlation, "bad_frame",
+             std::string("unexpected client frame type '") +
+                 frameTypeName(F.Type) + "'");
+  if (!R.ById.count(Id))
+    return;
+  C.CloseAfterFlush = true;
+  updateSubscription(R, C);
+  writeReady(R, C);
+}
+
+void Server::handlePeerFetch(Reactor &R, Connection &C, Frame &F,
+                             const SchedulerService &Cache) {
   // Served inline on the reactor: a peek is two map lookups under a
   // shard lock, orders of magnitude under a frame round trip, and peer
   // probes must stay cheap even while the pipeline is saturated.
@@ -721,7 +932,7 @@ void Server::handlePeerFetch(Reactor &R, Connection &C, Frame &F) {
     return;
   }
   obs::TraceSpan Span("peer_serve", "net");
-  std::shared_ptr<const CachedSchedule> Hit = Service.cachePeek(*Fp);
+  std::shared_ptr<const CachedSchedule> Hit = Cache.cachePeek(*Fp);
   Span.arg("hit", Hit ? 1.0 : 0.0);
   {
     std::lock_guard<std::mutex> L(R.StatsMu);
@@ -741,56 +952,39 @@ void Server::handleStatsFetch(Reactor &R, Connection &C, Frame &F) {
       "cdvs_stats_scrapes_total",
       "StatsFetch scrapes answered over the wire.");
   Scrapes.inc();
-  std::string Payload = "{\"role\":\"server\",\"pid\":" +
-                        std::to_string(static_cast<long>(getpid())) +
-                        ",\"now_ns\":" +
-                        std::to_string(monotonicNanos()) +
-                        ",\"trace_dropped\":" +
-                        std::to_string(obs::trace().dropped()) +
-                        ",\"metrics\":\"" +
-                        jsonEscape(obs::metrics().renderPrometheus()) +
-                        "\",\"trace\":" +
-                        obs::trace().renderChromeTrace(
-                            static_cast<int>(getpid()), "dvs-server") +
-                        "}";
-  enqueueFrame(R, C, FrameType::StatsData, F.Correlation, Payload);
+  enqueueFrame(R, C, FrameType::StatsData, F.Correlation,
+               R.Handler->statsData());
 }
 
-void Server::handleCompletions(Reactor &R, uint64_t NowNs) {
-  std::vector<Completion> Batch;
-  R.CQ.drainTo(Batch);
-  if (Batch.empty())
-    return;
-  R.CqDepthGauge->max(static_cast<double>(Batch.size()));
-  for (Completion &Cp : Batch) {
-    --R.PendingJobs;
-    auto It = R.ById.find(Cp.ConnId);
-    if (It == R.ById.end()) {
-      std::lock_guard<std::mutex> L(R.StatsMu);
-      ++R.Counters.OrphanCompletions;
-      continue;
-    }
-    Connection &C = *It->second;
-    if (C.TimedOut.erase(Cp.Correlation)) {
-      // Answered late; the client already got Reject{"timeout"}.
-      std::lock_guard<std::mutex> L(R.StatsMu);
-      ++R.Counters.OrphanCompletions;
-      continue;
-    }
-    auto SIt = C.StartNs.find(Cp.Correlation);
-    if (SIt != C.StartNs.end()) {
-      R.LatencyHist->observe(static_cast<double>(NowNs - SIt->second) *
-                             1e-9);
-      C.StartNs.erase(SIt);
-    }
-    if (auto TIt = C.RequestTimers.find(Cp.Correlation);
-        TIt != C.RequestTimers.end()) {
-      R.Wheel.cancel(TIt->second);
-      C.RequestTimers.erase(TIt);
-    }
-    --C.InFlight;
-    enqueueFrame(R, C, Cp.Type, Cp.Correlation, Cp.Payload);
+Server::Connection *Server::retireRequest(Reactor &R,
+                                          const RequestRef &Ref) {
+  --R.PendingJobs;
+  auto It = R.ById.find(Ref.ConnId);
+  if (It == R.ById.end()) {
+    std::lock_guard<std::mutex> L(R.StatsMu);
+    ++R.Counters.OrphanCompletions;
+    return nullptr;
   }
+  Connection &C = *It->second;
+  if (C.TimedOut.erase(Ref.Correlation)) {
+    // Answered late; the client already got Reject{"timeout"}.
+    std::lock_guard<std::mutex> L(R.StatsMu);
+    ++R.Counters.OrphanCompletions;
+    return nullptr;
+  }
+  auto SIt = C.StartNs.find(Ref.Correlation);
+  if (SIt != C.StartNs.end()) {
+    R.LatencyHist->observe(
+        static_cast<double>(monotonicNanos() - SIt->second) * 1e-9);
+    C.StartNs.erase(SIt);
+  }
+  if (auto TIt = C.RequestTimers.find(Ref.Correlation);
+      TIt != C.RequestTimers.end()) {
+    R.Wheel.cancel(TIt->second);
+    C.RequestTimers.erase(TIt);
+  }
+  --C.InFlight;
+  return &C;
 }
 
 void Server::enqueueFrame(Reactor &R, Connection &C, FrameType Type,
@@ -987,9 +1181,8 @@ void Server::closeConnection(Reactor &R, uint64_t ConnId) {
     R.Wheel.cancel(C->SlowTimer);
   for (const auto &[Corr, Tid] : C->RequestTimers)
     R.Wheel.cancel(Tid);
-  R.Io->remove(C->Fd);
-  ::close(C->Fd);
   int Fd = C->Fd;
+  R.retire(Fd);
   R.ById.erase(It);
   R.ByFd.erase(Fd); // destroys C; its Span records the conn lifetime
   OpenConns.fetch_sub(1, std::memory_order_relaxed);

@@ -5,22 +5,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The network front end of the scheduling service: N reactor threads
-/// (ServerOptions::Reactors) each own a full event-loop stack — their
-/// own Poller, timer wheel, wakeup fd, and listening socket bound with
-/// SO_REUSEPORT — so accept/read/write and all per-connection state stay
-/// reactor-local and lock-free on the hot path. The kernel's reuseport
-/// hash spreads incoming connections across the reactors; on stacks
-/// without SO_REUSEPORT (or under ForceAcceptHandoff) reactor 0 owns the
-/// one listener and round-robins accepted fds to its peers through
-/// per-reactor handoff queues and a wakeup-fd nudge.
+/// The cdvs-wire connection layer: N reactor threads
+/// (ConnectionOptions::Reactors) each own a full event-loop stack —
+/// their own Poller, timer wheel, wakeup fd, and listening socket bound
+/// with SO_REUSEPORT — so accept/read/write and all per-connection state
+/// stay reactor-local and lock-free on the hot path. The kernel's
+/// reuseport hash spreads incoming connections across the reactors; on
+/// stacks without SO_REUSEPORT (or under ForceAcceptHandoff) reactor 0
+/// owns the one listener and round-robins accepted fds to its peers
+/// through per-reactor handoff queues and a wakeup-fd nudge.
 ///
-/// Jobs run on the embedded SchedulerService's persistent TaskPool;
-/// completions come back through a *per-reactor* lock-free MPSC queue
-/// (worker threads push, the owning reactor drains on wakeup), so
-/// response routing never takes a lock shared between reactors.
-/// Responses stream out of order per connection, matched by the
-/// correlation id the client chose.
+/// What answers a request is a per-reactor RequestHandler, called only
+/// after the shared checks below have passed. Built from ServerOptions,
+/// the server embeds a SchedulerService and installs the local handler:
+/// jobs run on the service's TaskPool and completions come back through
+/// a *per-reactor* lock-free MPSC queue (worker threads push, the owning
+/// reactor drains on wakeup), so response routing never takes a lock
+/// shared between reactors. cluster::Router installs its upstream pool
+/// instead. Responses stream out of order per connection, matched by
+/// the correlation id the client chose.
 ///
 /// Robustness edges, all enforced per connection on its owning reactor:
 ///
@@ -50,7 +53,8 @@
 ///    Reject{"overloaded"} and an immediate close; admission-queue
 ///    backpressure inside the service surfaces as an ordinary rejected
 ///    Response, exactly like dvsd;
-///  * graceful drain (beginDrain(), wired to SIGTERM in dvs-server):
+///  * graceful drain (beginDrain(), wired to SIGTERM in dvs-server and
+///    dvs-router):
 ///    every reactor closes its listener, stops reading, lets every
 ///    already-admitted job complete and flush, then closes its
 ///    connections; waitDrained() observers wake once the last reactor
@@ -68,9 +72,11 @@
 #include "service/Service.h"
 
 #include <atomic>
+#include <cassert>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -80,10 +86,15 @@
 #include <vector>
 
 namespace cdvs {
+
+class ArgParser;
+
 namespace net {
 
-/// Sizing and policy knobs for a net::Server.
-struct ServerOptions {
+/// Connection-layer knobs of every net::Server, whatever answers its
+/// requests: the local scheduling service (ServerOptions) or the
+/// cluster router's upstream pool (cluster::RouterOptions).
+struct ConnectionOptions {
   std::string BindAddress = "127.0.0.1";
   /// 0 picks an ephemeral port; read it back via Server::port().
   uint16_t Port = 0;
@@ -129,6 +140,15 @@ struct ServerOptions {
   int SocketSendBufferBytes = 0;
   /// Use the portable poll(2) backend even where epoll exists.
   bool ForcePoll = false;
+};
+
+/// Registers the connection-layer flags that every cdvs-wire front end
+/// (dvs-server, dvs-router) shares on \p P. \returns the function that
+/// copies the parsed values into a ConnectionOptions.
+std::function<void(ConnectionOptions &)> addConnectionFlags(ArgParser &P);
+
+/// A net::Server whose requests run on an embedded SchedulerService.
+struct ServerOptions : ConnectionOptions {
   /// Configuration of the embedded SchedulerService.
   ServiceOptions Service;
 };
@@ -142,7 +162,7 @@ struct ServerStats {
   long FramesOut = 0;
   long long BytesIn = 0;
   long long BytesOut = 0;
-  long RejectsSent = 0;    ///< Reject frames of any code
+  long RejectsSent = 0;    ///< Reject frames this server originated
   long ProtocolErrors = 0; ///< framing errors (reject-then-close)
   long IdleCloses = 0;
   long RequestTimeouts = 0;
@@ -156,10 +176,110 @@ struct ServerStats {
   size_t OpenConnections = 0;  ///< currently open
 };
 
-/// The scheduling server; see the file comment.
+/// \p S as the comma-separated `"key":value` pairs that open the final
+/// `{"type":"stats",...}` line of dvs-server and dvs-router.
+std::string renderServerStats(const ServerStats &S);
+
+/// An admitted request as its handler sees it: the connection and
+/// correlation id its one answer goes back to.
+struct RequestRef {
+  uint64_t ConnId = 0;
+  uint64_t Correlation = 0;
+};
+
+class Server;
+
+/// One reactor, as the RequestHandler it owns sees it: the poller and
+/// timer wheel the handler may register its own descriptors and timers
+/// on, and the way back to the connections its requests came from.
+/// Every member is reactor-thread only, except wake().
+class ReactorContext {
+public:
+  int index() const { return Index; }
+  Poller &io() { return *Io; }
+  TimerWheel &wheel() { return Wheel; }
+  /// Any thread: makes the reactor run its handler's poll() soon.
+  void wake() { Wakeup.notify(); }
+  /// Stops polling \p Fd and closes it before the next poll, so no
+  /// later event of the current wave can name a reused descriptor.
+  void retire(int Fd);
+  /// True while \p Ref still waits for its answer: its connection is
+  /// open and it has not timed out.
+  bool waiting(const RequestRef &Ref) const;
+  /// Retires \p Ref with one frame of \p Type; an orphan (nobody waits
+  /// any more) is only counted. Every admitted request must be retired
+  /// exactly once, by answer(), reject() or drop().
+  void answer(const RequestRef &Ref, FrameType Type,
+              const std::string &Payload);
+  /// Retires \p Ref with Reject{\p Code} (counted in RejectsSent).
+  void reject(const RequestRef &Ref, const std::string &Code,
+              const std::string &Reason);
+  /// Retires \p Ref unanswered; for requests whose client is gone.
+  void drop(const RequestRef &Ref);
+
+protected:
+  friend class Server;
+  explicit ReactorContext(Server &S, int I) : Owner(&S), Index(I) {}
+  void closeRetired();
+
+  Server *Owner;
+  int Index;
+  std::unique_ptr<Poller> Io;
+  TimerWheel Wheel;
+  WakeupFd Wakeup;
+  std::vector<int> Retired; ///< closed by closeRetired()
+};
+
+/// What answers a server's requests, one instance per reactor, every
+/// call on that reactor's thread. The server runs the shared checks
+/// first (framing, duplicate correlation ids, drain, shedding, the JSON
+/// parse, frame kind against payload kind), so a handler only ever sees
+/// well-formed, admitted requests.
+class RequestHandler {
+public:
+  virtual ~RequestHandler() = default;
+  /// Before the reactor's first poll: register descriptors and timers.
+  virtual void start(uint64_t /*NowNs*/) {}
+  /// After the reactor's last poll: release what start() registered.
+  virtual void stop() {}
+  /// Every loop turn, before polling (and after each wake()).
+  virtual void poll(uint64_t /*NowNs*/) {}
+  /// A poller event on a descriptor the handler registered.
+  virtual void event(const PollEvent & /*E*/, uint64_t /*NowNs*/) {}
+  /// One admitted Request or GraphRequest frame, its payload parsed
+  /// into \p Req. The answer goes back through ReactorContext::answer
+  /// or reject, now or later.
+  virtual void request(const RequestRef &Ref, Frame &F, JobRequest &Req,
+                       uint64_t NowNs) = 0;
+  /// The result cache PeerFetch probes read, or nullptr when this
+  /// handler keeps none; PeerFetch is then refused like any frame type
+  /// a client must not send.
+  virtual const SchedulerService *cache() const { return nullptr; }
+  /// The payload of a StatsData answer to a StatsFetch scrape (see
+  /// renderStatsData).
+  virtual std::string statsData() = 0;
+};
+
+/// Builds the handler one reactor owns; called once per reactor from
+/// Server::start(), before any reactor thread runs.
+using HandlerFactory =
+    std::function<std::unique_ptr<RequestHandler>(ReactorContext &)>;
+
+/// A StatsData payload: process role, pid, clock stamp, trace drops,
+/// \p ExtraFields (`"key":value,` pairs, each ending in a comma), the
+/// metrics exposition, and the trace ring rendered under \p Process.
+std::string renderStatsData(const std::string &Role,
+                            const std::string &Process,
+                            const std::string &ExtraFields = "");
+
+/// The cdvs-wire server; see the file comment.
 class Server {
 public:
+  /// Serves requests on an embedded SchedulerService.
   explicit Server(ServerOptions Opts = ServerOptions());
+  /// Serves requests on the handlers \p Factory builds; starts no
+  /// SchedulerService.
+  Server(ConnectionOptions Opts, HandlerFactory Factory);
   ~Server();
 
   Server(const Server &) = delete;
@@ -181,8 +301,11 @@ public:
   bool usingReusePort() const { return ReusePortActive; }
 
   /// The embedded scheduling service (tests pause/resume it; the tool
-  /// reads its stats).
-  SchedulerService &service() { return Service; }
+  /// reads its stats). Only a server built from ServerOptions has one.
+  SchedulerService &service() {
+    assert(Service && "server was built without a SchedulerService");
+    return *Service;
+  }
 
   /// Starts a graceful drain: stop accepting, stop reading, let every
   /// admitted job complete and flush, then close. Idempotent,
@@ -202,6 +325,8 @@ public:
   ServerStats stats() const;
 
 private:
+  friend class ReactorContext;
+
   struct Connection {
     int Fd = -1;
     uint64_t Id = 0;
@@ -230,45 +355,14 @@ private:
     explicit Connection(size_t MaxPayload) : Parser(MaxPayload) {}
   };
 
-  struct Completion {
-    uint64_t ConnId = 0;
-    uint64_t Correlation = 0;
-    std::string Payload; ///< response JSON, serialized on the worker
-    /// Response for single-program jobs, GraphResponse for graph jobs —
-    /// the answer frame mirrors the request frame's kind.
-    FrameType Type = FrameType::Response;
-  };
+  /// Everything one reactor thread owns. Only Handoff(+mutex), Wakeup,
+  /// and the Counters mutex are ever touched by other threads.
+  struct Reactor : ReactorContext {
+    Reactor(Server &S, int I) : ReactorContext(S, I) {}
 
-  /// Lock-free MPSC handoff from pipeline workers to one reactor:
-  /// push() is a CAS loop on an intrusive Treiber list (any thread),
-  /// drainTo() exchanges the whole list and reverses it (owner reactor
-  /// only). Depth is tracked for the completion-queue-depth gauge.
-  class CompletionQueue {
-  public:
-    ~CompletionQueue();
-    void push(Completion C);
-    /// Appends all pending completions to \p Out in rough FIFO order.
-    void drainTo(std::vector<Completion> &Out);
-    long depth() const { return Depth.load(std::memory_order_relaxed); }
-
-  private:
-    struct Node {
-      Completion C;
-      Node *Next = nullptr;
-    };
-    std::atomic<Node *> Head{nullptr};
-    std::atomic<long> Depth{0};
-  };
-
-  /// Everything one reactor thread owns. Only CQ, Handoff(+mutex),
-  /// Wakeup, and the Counters mutex are ever touched by other threads.
-  struct Reactor {
-    int Index = 0;
-    std::unique_ptr<Poller> Io;
-    TimerWheel Wheel;
-    WakeupFd Wakeup;
     int ListenFd = -1; ///< own REUSEPORT listener, or reactor 0's only
     std::thread Thread;
+    std::unique_ptr<RequestHandler> Handler;
 
     // Reactor-thread-only connection state.
     std::map<int, std::unique_ptr<Connection>> ByFd;
@@ -276,12 +370,10 @@ private:
     uint64_t NextConnId = 1; ///< seeded Index+1, stepped by NumReactors
     bool DrainStarted = false;
     bool DrainedLocal = false;
-    /// Jobs admitted from this reactor, completion not yet delivered —
-    /// the shedding watermark input.
+    /// Jobs admitted from this reactor, not yet retired — the shedding
+    /// watermark input.
     long PendingJobs = 0;
 
-    /// Worker threads push completed jobs here; Wakeup nudges the loop.
-    CompletionQueue CQ;
     /// Accept-handoff fallback: reactor 0 pushes accepted fds here.
     std::mutex HandoffMu;
     std::vector<int> Handoff;
@@ -298,7 +390,6 @@ private:
     obs::Counter *BytesOutCtr = nullptr;
     obs::Gauge *OpenGauge = nullptr;
     obs::Gauge *DrainGauge = nullptr;
-    obs::Gauge *CqDepthGauge = nullptr;
     obs::Histogram *LatencyHist = nullptr;
   };
 
@@ -315,22 +406,27 @@ private:
   size_t processFrames(Reactor &R, Connection &C, uint64_t NowNs);
   /// Admits one job frame (Request or GraphRequest — the frame kind
   /// must match the payload: a Request carrying a "graph" object, or a
-  /// GraphRequest without one, draws Reject{"bad_request"}). The
-  /// completion answers with the mirroring response frame kind.
+  /// GraphRequest without one, draws Reject{"bad_request"}) and hands
+  /// it to the reactor's handler.
   void handleRequest(Reactor &R, Connection &C, Frame &F, uint64_t NowNs);
   /// Answers a backend-to-backend PeerFetch cache probe with PeerData
-  /// (found + serialized schedule, or a miss) from the service's result
-  /// cache — a peek, so peer probes never skew hit/miss counters or LRU
-  /// recency.
-  void handlePeerFetch(Reactor &R, Connection &C, Frame &F);
-  /// Answers a StatsFetch live-scrape probe with a StatsData bundle:
-  /// process role, metrics exposition, and the recent trace buffer
-  /// (dvs-stat --scrape merges these across endpoints).
+  /// (found + serialized schedule, or a miss) from \p Cache — a peek,
+  /// so peer probes never skew hit/miss counters or LRU recency.
+  void handlePeerFetch(Reactor &R, Connection &C, Frame &F,
+                       const SchedulerService &Cache);
+  /// Answers a StatsFetch live-scrape probe with the handler's
+  /// StatsData bundle (dvs-stat --scrape merges these across
+  /// endpoints).
   void handleStatsFetch(Reactor &R, Connection &C, Frame &F);
+  /// Refuses a frame type no client may send: Reject{"bad_frame"},
+  /// then close.
+  void refuseFrame(Reactor &R, Connection &C, const Frame &F);
   /// \returns the shed class ("lax"/"hard") when the reactor's pending
   /// count says this request must be refused, nullptr to admit.
   const char *shedClass(const Reactor &R, const Frame &F) const;
-  void handleCompletions(Reactor &R, uint64_t NowNs);
+  /// Ends \p Ref's bookkeeping. \returns its connection when the
+  /// answer is still wanted, nullptr for an orphan.
+  Connection *retireRequest(Reactor &R, const RequestRef &Ref);
   void enqueueFrame(Reactor &R, Connection &C, FrameType Type,
                     uint64_t Correlation, const std::string &Payload);
   void sendReject(Reactor &R, Connection &C, uint64_t Correlation,
@@ -344,8 +440,10 @@ private:
   void finishDrainIfIdle(Reactor &R);
   void updateConnectionGauges(Reactor &R);
 
-  ServerOptions Opts;
-  SchedulerService Service;
+  ConnectionOptions Opts;
+  /// Null unless built from ServerOptions.
+  std::unique_ptr<SchedulerService> Service;
+  HandlerFactory Factory;
 
   std::vector<std::unique_ptr<Reactor>> Reactors;
   int NumReactors = 0;

@@ -4,8 +4,12 @@
 // backends: proxying with the backend annotation, deterministic ring
 // routing (predicted by an independently built HashRing), mid-flight
 // backend kill with exactly one answer, the eviction/reinstatement
-// state machine, the no_backends reject, and both PeerFetch outcomes
-// (miss → cold solve; hit → cache fill after a restart).
+// state machine, the no_backends reject, both PeerFetch outcomes
+// (miss → cold solve; hit → cache fill after a restart), and the
+// client-facing guards the router shares with net::Server (idle and
+// slow-frame timeouts, mid-frame hang-up, frame-kind check, connection
+// limit). Drain, failover and the flight recorder also run at two
+// reactors, each with its own upstream pool.
 //
 // Backends solve real MILPs, so timeouts are generous (sanitizer builds
 // run these too); assertions are on ordering and state, never speed.
@@ -22,6 +26,7 @@
 #include "service/JobIO.h"
 #include "service/JsonLite.h"
 #include "support/Clock.h"
+#include "taskgraph/Generator.h"
 
 #include <gtest/gtest.h>
 
@@ -67,9 +72,11 @@ std::string nameOf(const net::Server &S) {
   return "127.0.0.1:" + std::to_string(S.port());
 }
 
-RouterOptions routerOptions(std::vector<std::string> Backends) {
+RouterOptions routerOptions(std::vector<std::string> Backends,
+                            int Reactors = 1) {
   RouterOptions O;
   O.Backends = std::move(Backends);
+  O.Reactors = Reactors;
   O.HealthIntervalMs = 50;
   O.FailThreshold = 1; // loopback transport failures are never transient
   O.ConnectTimeoutMs = 500;
@@ -173,7 +180,7 @@ TEST(ClusterRouter, RoutesEachKeyToItsPredictedRingOwner) {
   }
 }
 
-TEST(ClusterRouter, MidFlightKillRetriesOnNextOwnerWithoutDuplicates) {
+void midFlightKillRetriesOnNextOwner(int Reactors) {
   // The victim's service starts paused so the request is parked in its
   // admission queue — guaranteed in flight through the router — when
   // the backend dies under it.
@@ -187,9 +194,10 @@ TEST(ClusterRouter, MidFlightKillRetriesOnNextOwnerWithoutDuplicates) {
   std::vector<std::string> Names = {nameOf(Victim), nameOf(B2),
                                     nameOf(B3)};
 
-  Router R(routerOptions(Names));
+  Router R(routerOptions(Names, Reactors));
   ErrorOr<bool> Started = R.start();
   ASSERT_TRUE(Started.hasValue()) << Started.message();
+  ASSERT_EQ(R.reactors(), Reactors);
 
   HashRing Local;
   for (const std::string &N : Names)
@@ -226,6 +234,14 @@ TEST(ClusterRouter, MidFlightKillRetriesOnNextOwnerWithoutDuplicates) {
   EXPECT_FALSE(Extra.hasValue());
   EXPECT_NE(Extra.message().find("timed out"), std::string::npos)
       << Extra.message();
+}
+
+TEST(ClusterRouter, MidFlightKillRetriesOnNextOwnerWithoutDuplicates) {
+  midFlightKillRetriesOnNextOwner(1);
+}
+
+TEST(ClusterRouter, MidFlightKillRetriesOnNextOwnerAtTwoReactors) {
+  midFlightKillRetriesOnNextOwner(2);
 }
 
 TEST(ClusterRouter, EvictsDeadBackendAndReinstatesOnAnsweredProbe) {
@@ -303,14 +319,15 @@ TEST(ClusterRouter, EmptyRingDrawsNoBackendsReject) {
   EXPECT_GE(R.stats().RejectsSent, 1);
 }
 
-TEST(ClusterRouter, FlightRecorderCapturesTracedRequestAndStatsScrape) {
+void flightRecorderCapturesTracedRequest(int Reactors) {
   net::Server B(backendOptions());
   startOrDie(B);
-  RouterOptions O = routerOptions({nameOf(B)});
+  RouterOptions O = routerOptions({nameOf(B)}, Reactors);
   O.FlightCapacity = 16;
   O.SlowLogMs = 1; // a cold MILP solve always clears 1ms
   O.SlowLogPath = ::testing::TempDir() + "cdvs-router-slow-" +
-                  std::to_string(::getpid()) + ".jsonl";
+                  std::to_string(::getpid()) + "-" +
+                  std::to_string(Reactors) + ".jsonl";
   Router R(O);
   ErrorOr<bool> Started = R.start();
   ASSERT_TRUE(Started.hasValue()) << Started.message();
@@ -385,6 +402,14 @@ TEST(ClusterRouter, FlightRecorderCapturesTracedRequestAndStatsScrape) {
     break;
   }
   std::remove(O.SlowLogPath.c_str());
+}
+
+TEST(ClusterRouter, FlightRecorderCapturesTracedRequestAndStatsScrape) {
+  flightRecorderCapturesTracedRequest(1);
+}
+
+TEST(ClusterRouter, FlightRecorderCapturesTracedRequestAtTwoReactors) {
+  flightRecorderCapturesTracedRequest(2);
 }
 
 TEST(ClusterRouter, PeerFetchMissFallsBackToColdSolve) {
@@ -512,10 +537,10 @@ TEST(ClusterRouter, RestartedOwnerFillsItsCacheFromThePreviousOwner) {
   EXPECT_GE(Reborn.service().stats().PeerFills, 1);
 }
 
-TEST(ClusterRouter, DrainAnswersInFlightThenCloses) {
+void drainAnswersInFlightThenCloses(int Reactors) {
   net::Server B(backendOptions());
   startOrDie(B);
-  Router R(routerOptions({nameOf(B)}));
+  Router R(routerOptions({nameOf(B)}, Reactors));
   ErrorOr<bool> Started = R.start();
   ASSERT_TRUE(Started.hasValue()) << Started.message();
 
@@ -534,6 +559,125 @@ TEST(ClusterRouter, DrainAnswersInFlightThenCloses) {
   EXPECT_TRUE(R.waitDrained(120.0));
   // The listener is gone.
   EXPECT_FALSE(net::Client::connect("127.0.0.1", R.port()).hasValue());
+}
+
+TEST(ClusterRouter, DrainAnswersInFlightThenCloses) {
+  drainAnswersInFlightThenCloses(1);
+}
+
+TEST(ClusterRouter, DrainAnswersInFlightThenClosesAtTwoReactors) {
+  drainAnswersInFlightThenCloses(2);
+}
+
+/// The code of the Reject frame \p C reads next ("" on anything else).
+std::string nextRejectCode(net::Client &C) {
+  ErrorOr<net::Frame> F = C.readFrame(kFrameWaitMs);
+  if (!F) {
+    ADD_FAILURE() << F.message();
+    return "";
+  }
+  EXPECT_EQ(F->Type, net::FrameType::Reject);
+  ErrorOr<net::RejectInfo> R = net::decodeReject(F->Payload);
+  return R ? R->Code : "";
+}
+
+TEST(ClusterRouter, SilentClientDrawsIdleTimeoutReject) {
+  net::Server B(backendOptions());
+  startOrDie(B);
+  RouterOptions O = routerOptions({nameOf(B)});
+  O.IdleTimeoutMs = 60;
+  Router R(O);
+  ErrorOr<bool> Started = R.start();
+  ASSERT_TRUE(Started.hasValue()) << Started.message();
+
+  net::Client C = connectOrDie(R);
+  EXPECT_EQ(nextRejectCode(C), "idle_timeout");
+  EXPECT_FALSE(C.readFrame(kFrameWaitMs).hasValue()) << "expected EOF";
+  EXPECT_EQ(R.stats().IdleCloses, 1);
+}
+
+TEST(ClusterRouter, DribblingClientDrawsSlowFrameReject) {
+  net::Server B(backendOptions());
+  startOrDie(B);
+  RouterOptions O = routerOptions({nameOf(B)});
+  O.SlowFrameTimeoutMs = 60;
+  Router R(O);
+  ErrorOr<bool> Started = R.start();
+  ASSERT_TRUE(Started.hasValue()) << Started.message();
+
+  // Half a header, then silence — classic slowloris.
+  net::Client C = connectOrDie(R);
+  std::string Frame = net::encodeFrame(net::FrameType::Ping, 1, "");
+  ASSERT_TRUE(C.sendRaw(Frame.data(), 4).hasValue());
+  EXPECT_EQ(nextRejectCode(C), "slow_frame");
+  EXPECT_FALSE(C.readFrame(kFrameWaitMs).hasValue()) << "expected EOF";
+  EXPECT_EQ(R.stats().SlowFrameCloses, 1);
+}
+
+TEST(ClusterRouter, HangUpMidFrameDrawsRejectAndCountsAProtocolError) {
+  net::Server B(backendOptions());
+  startOrDie(B);
+  Router R(routerOptions({nameOf(B)}));
+  ErrorOr<bool> Started = R.start();
+  ASSERT_TRUE(Started.hasValue()) << Started.message();
+
+  net::Client C = connectOrDie(R);
+  std::string Frame = net::encodeFrame(net::FrameType::Request, 8,
+                                       jobRequestToJson(gsmJob("cut")));
+  ASSERT_TRUE(C.sendRaw(Frame.data(), Frame.size() - 4).hasValue());
+  C.shutdownWrite();
+  EXPECT_EQ(nextRejectCode(C), "bad_frame");
+  EXPECT_FALSE(C.readFrame(kFrameWaitMs).hasValue()) << "expected EOF";
+  EXPECT_EQ(R.stats().ProtocolErrors, 1);
+  EXPECT_EQ(R.stats().RequestsRouted, 0);
+}
+
+TEST(ClusterRouter, GraphPayloadOnRequestFrameIsRefusedBeforeRouting) {
+  net::Server B(backendOptions());
+  startOrDie(B);
+  Router R(routerOptions({nameOf(B)}));
+  ErrorOr<bool> Started = R.start();
+  ASSERT_TRUE(Started.hasValue()) << Started.message();
+
+  ErrorOr<taskgraph::TaskGraph> G =
+      taskgraph::cannedTaskGraph("pair2-early");
+  ASSERT_TRUE(G.hasValue()) << G.message();
+  JobRequest Job;
+  Job.Id = "mislabeled";
+  Job.Graph = std::make_shared<const taskgraph::TaskGraph>(std::move(*G));
+
+  net::Client C = connectOrDie(R);
+  std::string Frame = net::encodeFrame(net::FrameType::Request, 21,
+                                       jobRequestToJson(Job));
+  ASSERT_TRUE(C.sendRaw(Frame.data(), Frame.size()).hasValue());
+  EXPECT_EQ(nextRejectCode(C), "bad_request");
+  EXPECT_EQ(R.stats().RequestsRouted, 0)
+      << "a mislabeled frame must not cost a backend hop";
+
+  // The connection survives the reject.
+  ASSERT_TRUE(C.ping().hasValue());
+  ErrorOr<net::Frame> Pong = C.readFrame(kFrameWaitMs);
+  ASSERT_TRUE(Pong.hasValue()) << Pong.message();
+  EXPECT_EQ(Pong->Type, net::FrameType::Pong);
+}
+
+TEST(ClusterRouter, ConnectionLimitDrawsOverloadedReject) {
+  net::Server B(backendOptions());
+  startOrDie(B);
+  RouterOptions O = routerOptions({nameOf(B)});
+  O.MaxConnections = 1;
+  Router R(O);
+  ErrorOr<bool> Started = R.start();
+  ASSERT_TRUE(Started.hasValue()) << Started.message();
+
+  net::Client C1 = connectOrDie(R);
+  ASSERT_TRUE(C1.ping().hasValue());
+  ASSERT_TRUE(C1.readFrame(kFrameWaitMs).hasValue());
+
+  net::Client C2 = connectOrDie(R);
+  EXPECT_EQ(nextRejectCode(C2), "overloaded");
+  EXPECT_FALSE(C2.readFrame(kFrameWaitMs).hasValue()) << "expected EOF";
+  EXPECT_EQ(R.stats().ConnectionsRejected, 1);
 }
 
 } // namespace

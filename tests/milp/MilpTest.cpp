@@ -107,6 +107,23 @@ TEST(Milp, GeneralIntegerVariable) {
   EXPECT_NEAR(R.X[X], 3.0, 1e-6);
 }
 
+TEST(Milp, GeneralIntegerBelowAFractionalUpperBound) {
+  // min -x s.t. x <= 10, x integer in [0, 2.5]: the relaxation sits on
+  // the fractional bound, so the up child [3, 2.5] is empty and must
+  // not be pushed, and rounding must not "round" x onto 2.5 -> x = 2.
+  LpProblem P;
+  int X = P.addVariable(0.0, 2.5, -1.0);
+  P.addRow(RowSense::LE, 10.0, {{X, 1.0}});
+  for (bool Rounding : {true, false}) {
+    MilpOptions O;
+    O.UseRounding = Rounding;
+    MilpSolver S(P, {X}, O);
+    MilpSolution R = S.solve();
+    ASSERT_EQ(R.Status, MilpStatus::Optimal) << "rounding " << Rounding;
+    EXPECT_NEAR(R.X[X], 2.0, 1e-6) << "rounding " << Rounding;
+  }
+}
+
 TEST(Milp, MixedIntegerContinuous) {
   // min 10b + y  s.t. y >= 3 - 5b, y >= 0, b binary.
   // b=0 -> y=3 obj 3; b=1 -> y=0 obj 10. Optimal 3.

@@ -10,6 +10,11 @@
 // Responses carry a "backend":"host:port" annotation for dvs-loadgen's
 // per-backend latency breakdown (--no-annotate turns it off).
 //
+// The client-facing side is net::Server's, so the connection flags
+// (--bind, --port, --reactors, --max-conns, the idle, slow-frame and
+// request timeouts, shedding, --poll) are dvs-server's own, registered
+// by the same helper. Each reactor keeps its own links to the backends.
+//
 // Lifecycle mirrors dvs-server: one {"type":"listening",...} JSON line
 // on stdout once bound (or --port-file), SIGTERM/SIGINT begin a
 // graceful drain, and the process exits with one {"type":"stats",...}
@@ -64,9 +69,7 @@ int main(int argc, char **argv) {
   ArgParser P("dvs-router",
               "consistent-hash sharding front end over dvs-server "
               "backends: one wire endpoint, N solvers");
-  std::string &Bind =
-      P.addString("bind", "127.0.0.1", "address to listen on");
-  int &Port = P.addInt("port", 0, "TCP port; 0 picks an ephemeral one");
+  auto ApplyConnectionFlags = net::addConnectionFlags(P);
   std::string &BackendsArg = P.addString(
       "backends", "",
       "comma-separated dvs-server addresses (host:port,...); required");
@@ -74,10 +77,6 @@ int main(int argc, char **argv) {
       "vnodes", 64,
       "consistent-ring virtual nodes per backend; must match the "
       "backends' --vnodes");
-  int &MaxConns =
-      P.addInt("max-conns", 256, "client connection limit");
-  int &MaxFrameKb =
-      P.addInt("max-frame-kb", 1024, "per-frame payload cap in KiB");
   int &HealthMs = P.addInt(
       "health-interval-ms", 500,
       "backend probe cadence; also the ping-answer deadline");
@@ -96,8 +95,6 @@ int main(int argc, char **argv) {
   bool &NoAnnotate = P.addFlag(
       "no-annotate",
       "do not splice \"backend\":\"host:port\" into relayed Responses");
-  bool &ForcePoll =
-      P.addFlag("poll", "use the portable poll(2) backend, not epoll");
   double &MaxSeconds = P.addDouble(
       "max-seconds", 0.0, "drain and exit after this long; 0 = forever");
   std::string &PortFile = P.addString(
@@ -110,7 +107,7 @@ int main(int argc, char **argv) {
       "metrics-json", "", "write the metrics registry as JSON here");
   int &FlightCap = P.addInt(
       "flight-capacity", 256,
-      "flight-recorder depth: recent request records kept for "
+      "flight-recorder depth per reactor: recent request records kept for "
       "StatsFetch scrapes; 0 = off");
   int &SlowLogMs = P.addInt(
       "slow-log-ms", 0,
@@ -143,14 +140,10 @@ int main(int argc, char **argv) {
   }
 
   cluster::RouterOptions O;
-  O.BindAddress = Bind;
-  O.Port = static_cast<uint16_t>(Port);
+  ApplyConnectionFlags(O);
   for (const cluster::Address &A : *List)
     O.Backends.push_back(A.name());
   O.VirtualNodes = VNodes < 1 ? 1 : VNodes;
-  O.MaxConnections = static_cast<size_t>(MaxConns < 1 ? 1 : MaxConns);
-  O.MaxFrameBytes =
-      static_cast<size_t>(MaxFrameKb < 1 ? 1 : MaxFrameKb) * 1024;
   O.HealthIntervalMs =
       static_cast<uint64_t>(HealthMs < 1 ? 1 : HealthMs);
   O.FailThreshold = FailThreshold < 1 ? 1 : FailThreshold;
@@ -163,7 +156,6 @@ int main(int argc, char **argv) {
   O.FlightCapacity = static_cast<size_t>(FlightCap < 0 ? 0 : FlightCap);
   O.SlowLogMs = static_cast<uint64_t>(SlowLogMs < 0 ? 0 : SlowLogMs);
   O.SlowLogPath = SlowLogPath;
-  O.ForcePoll = ForcePoll;
 
   std::signal(SIGPIPE, SIG_IGN);
   if (!TraceOut.empty() || TraceOn)
@@ -177,8 +169,9 @@ int main(int argc, char **argv) {
   }
 
   std::printf("{\"type\":\"listening\",\"port\":%u,\"backend\":\"%s\","
-              "\"backends\":%zu}\n",
-              Router.port(), Router.backendName(), O.Backends.size());
+              "\"reactors\":%d,\"backends\":%zu}\n",
+              Router.port(), Router.backendName(), Router.reactors(),
+              O.Backends.size());
   std::fflush(stdout);
   if (!PortFile.empty())
     writeTextFile(PortFile, std::to_string(Router.port()) + "\n",
@@ -202,18 +195,14 @@ int main(int argc, char **argv) {
   Router.stop();
 
   std::printf(
-      "{\"type\":\"stats\",\"accepted\":%ld,\"conn_rejected\":%ld,"
-      "\"closed\":%ld,\"frames_in\":%ld,\"frames_out\":%ld,"
-      "\"routed\":%ld,\"responses\":%ld,\"rejects_relayed\":%ld,"
-      "\"rejects_sent\":%ld,\"retries\":%ld,\"evictions\":%ld,"
+      "{\"type\":\"stats\",%s,\"routed\":%ld,\"responses\":%ld,"
+      "\"rejects_relayed\":%ld,\"retries\":%ld,\"evictions\":%ld,"
       "\"reinstatements\":%ld,\"upstream_timeouts\":%ld,"
-      "\"orphans\":%ld,\"protocol_errors\":%ld,"
-      "\"healthy_backends\":%zu}\n",
-      S.ConnectionsAccepted, S.ConnectionsRejected, S.ConnectionsClosed,
-      S.FramesIn, S.FramesOut, S.RequestsRouted, S.ResponsesRelayed,
-      S.RejectsRelayed, S.RejectsSent, S.Retries, S.BackendEvictions,
+      "\"orphans\":%ld,\"healthy_backends\":%zu}\n",
+      net::renderServerStats(S).c_str(), S.RequestsRouted,
+      S.ResponsesRelayed, S.RejectsRelayed, S.Retries, S.BackendEvictions,
       S.BackendReinstatements, S.UpstreamTimeouts, S.OrphanResponses,
-      S.ProtocolErrors, S.HealthyBackends);
+      S.HealthyBackends);
   std::fflush(stdout);
 
   if (!MetricsOut.empty())

@@ -91,47 +91,11 @@ int main(int argc, char **argv) {
   ArgParser P("dvs-server",
               "network front end of the DVS-scheduling service: "
               "cdvs-wire v1 requests in, schedules out");
-  std::string &Bind =
-      P.addString("bind", "127.0.0.1", "address to listen on");
-  int &Port = P.addInt("port", 0, "TCP port; 0 picks an ephemeral one");
-  int &Reactors = P.addInt(
-      "reactors", 1,
-      "event-loop (reactor) threads, each with its own SO_REUSEPORT "
-      "listener; 0 = one per core");
-  bool &NoReusePort = P.addFlag(
-      "no-reuseport",
-      "use the single-acceptor fd-handoff path even where SO_REUSEPORT "
-      "exists");
+  auto ApplyConnectionFlags = net::addConnectionFlags(P);
   int &Threads =
       P.addInt("threads", 0, "pipeline workers; 0 = one per core");
   int &QueueCap = P.addInt("queue", 128, "admission queue capacity");
   int &CacheCap = P.addInt("cache", 512, "result cache entries");
-  int &MaxConns =
-      P.addInt("max-conns", 256, "connection limit (over it: reject)");
-  int &MaxFrameKb =
-      P.addInt("max-frame-kb", 1024, "per-frame payload cap in KiB");
-  int &IdleMs = P.addInt("idle-timeout-ms", 60000,
-                         "close silent connections after this; 0 = off");
-  int &ReqMs = P.addInt("request-timeout-ms", 0,
-                        "reject requests in flight longer than this; "
-                        "0 = off");
-  int &SlowMs = P.addInt(
-      "slow-frame-timeout-ms", 10000,
-      "close connections that sit on a partial frame this long "
-      "(slowloris guard); 0 = off");
-  int &ShedHigh = P.addInt(
-      "shed-high", 0,
-      "per-reactor pending-job watermark: at it, lax requests answer "
-      "Reject{\"shed\"}; 0 = off");
-  int &ShedHard = P.addInt(
-      "shed-hard", 0,
-      "pending-job watermark past which every request sheds; 0 = "
-      "2 * shed-high");
-  double &ShedLax = P.addDouble(
-      "shed-lax-tightness", 0.5,
-      "deadline-tightness boundary of the sheddable (lax) class");
-  bool &ForcePoll =
-      P.addFlag("poll", "use the portable poll(2) backend, not epoll");
   double &MaxSeconds = P.addDouble(
       "max-seconds", 0.0, "drain and exit after this long; 0 = forever");
   std::string &PortFile = P.addString(
@@ -167,20 +131,7 @@ int main(int argc, char **argv) {
     return 0;
 
   net::ServerOptions O;
-  O.BindAddress = Bind;
-  O.Port = static_cast<uint16_t>(Port);
-  O.MaxConnections = static_cast<size_t>(MaxConns < 1 ? 1 : MaxConns);
-  O.MaxFrameBytes =
-      static_cast<size_t>(MaxFrameKb < 1 ? 1 : MaxFrameKb) * 1024;
-  O.IdleTimeoutMs = static_cast<uint64_t>(IdleMs < 0 ? 0 : IdleMs);
-  O.RequestTimeoutMs = static_cast<uint64_t>(ReqMs < 0 ? 0 : ReqMs);
-  O.SlowFrameTimeoutMs = static_cast<uint64_t>(SlowMs < 0 ? 0 : SlowMs);
-  O.Reactors = Reactors;
-  O.ForceAcceptHandoff = NoReusePort;
-  O.ShedHighWater = static_cast<size_t>(ShedHigh < 0 ? 0 : ShedHigh);
-  O.ShedHardWater = static_cast<size_t>(ShedHard < 0 ? 0 : ShedHard);
-  O.ShedLaxTightness = ShedLax;
-  O.ForcePoll = ForcePoll;
+  ApplyConnectionFlags(O);
   O.Service.NumWorkers = Threads;
   O.Service.QueueCapacity =
       static_cast<size_t>(QueueCap < 1 ? 1 : QueueCap);
@@ -219,12 +170,6 @@ int main(int argc, char **argv) {
   std::signal(SIGPIPE, SIG_IGN);
   if (!TraceOut.empty() || TraceOn)
     obs::trace().setEnabled(true);
-  // Pre-registered so the family exists (at zero) in every scrape even
-  // before the trace ring first overwrites.
-  obs::metrics().counter(
-      "cdvs_trace_dropped_total",
-      "Trace events lost to ring-buffer overwrite since process start.");
-
   net::Server Server(O);
   ErrorOr<bool> Started = Server.start();
   if (!Started) {
@@ -261,29 +206,18 @@ int main(int argc, char **argv) {
   exportPoolStats(Server.service().poolStats());
   Server.stop();
 
-  char Buf[1024];
+  char Buf[512];
   std::snprintf(
       Buf, sizeof(Buf),
-      "{\"type\":\"stats\",\"accepted\":%ld,\"conn_rejected\":%ld,"
-      "\"closed\":%ld,\"frames_in\":%ld,\"frames_out\":%ld,"
-      "\"bytes_in\":%lld,\"bytes_out\":%lld,\"rejects\":%ld,"
-      "\"protocol_errors\":%ld,\"idle_closes\":%ld,"
-      "\"request_timeouts\":%ld,\"read_pauses\":%ld,"
-      "\"orphan_completions\":%ld,\"load_sheds\":%ld,"
-      "\"slow_frame_closes\":%ld,\"handoff_accepts\":%ld,"
-      "\"jobs\":{\"submitted\":%ld,\"completed\":%ld,\"rejected\":%ld,"
+      ",\"jobs\":{\"submitted\":%ld,\"completed\":%ld,\"rejected\":%ld,"
       "\"infeasible\":%ld,\"failed\":%ld},"
       "\"cache\":{\"hits\":%ld,\"misses\":%ld},"
       "\"peer\":{\"fills\":%ld,\"fetches\":%ld,\"served\":%ld}}",
-      NS.ConnectionsAccepted, NS.ConnectionsRejected,
-      NS.ConnectionsClosed, NS.FramesIn, NS.FramesOut, NS.BytesIn,
-      NS.BytesOut, NS.RejectsSent, NS.ProtocolErrors, NS.IdleCloses,
-      NS.RequestTimeouts, NS.ReadPauses, NS.OrphanCompletions,
-      NS.LoadSheds, NS.SlowFrameCloses, NS.HandoffAccepts,
       SS.Submitted, SS.Completed, SS.Rejected, SS.Infeasible, SS.Failed,
       CS.Hits, CS.Misses, SS.PeerFills,
       Filler ? Filler->stats().Fetches : 0L, NS.PeerFetches);
-  std::printf("%s\n", Buf);
+  std::printf("{\"type\":\"stats\",%s%s\n",
+              net::renderServerStats(NS).c_str(), Buf);
   std::fflush(stdout);
 
   if (!MetricsOut.empty())
